@@ -92,13 +92,18 @@ func scenarios(full bool) []scenario {
 		// Quick set: one per fault point, mixing modes and timing.
 		return []scenario{
 			{"walwrite", "crash", 23},
+			{"deltawrite", "torn", 12},
 			{"pagewrite", "torn", 9},
 			{"metawrite", "crash", 6},
 			{"checkpoint", "crash", 1},
 		}
 	}
 	var out []scenario
-	for _, point := range []string{"walwrite", "pagewrite", "metawrite"} {
+	// deltawrite is walwrite aimed: the killed statement's page has its
+	// image and earlier deltas in the log, and the record that dies is
+	// the next link of that chain. pagewrite in the same workload tears
+	// frames whose only intact copy is such a chain.
+	for _, point := range []string{"walwrite", "deltawrite", "pagewrite", "metawrite"} {
 		for _, mode := range []string{"crash", "torn"} {
 			for _, nth := range []int{3, 23} {
 				out = append(out, scenario{point, mode, nth})
@@ -161,6 +166,10 @@ func runScenario(t *testing.T, sc scenario) {
 	if hadWAL && !rec.Ran {
 		t.Errorf("non-empty WAL but recovery did not run: %+v", rec)
 	}
+	if sc.point == "deltawrite" && rec.Deltas == 0 {
+		t.Errorf("killed on delta %d of the run but recovery replayed none: %+v", sc.nth, rec)
+	}
+	t.Logf("recovery replayed %d records: %d images, %d deltas (torn tail %v)", rec.Records, rec.Images, rec.Deltas, rec.TornTail)
 
 	// Every acknowledged row must be present.
 	res, err := eng.Exec("SELECT id FROM crash_t")
@@ -215,7 +224,7 @@ type diskFaultScenario struct {
 func (s diskFaultScenario) name() string { return s.point + "_" + s.mode }
 
 // TestDiskFaultMatrix injects EIO/ENOSPC/fsync failures at every
-// storage fault point mid-workload and proves, for each: the engine
+// storage fault point mid-workload, mid-delta-chain and proves, for each: the engine
 // survives (no panic, reads keep working), every acknowledged row is
 // durable across reopen, and every page checksum verifies.
 func TestDiskFaultMatrix(t *testing.T) {
@@ -226,6 +235,8 @@ func TestDiskFaultMatrix(t *testing.T) {
 		{"walwrite", "eio", false}, // sticky: WAL poisoned until restart
 		{"walwrite", "enospc", true},
 		{"walwrite", "fsyncfail", false}, // fsyncgate: sticky
+		{"deltawrite", "eio", false},     // the same, mid-chain
+		{"deltawrite", "enospc", true},
 		{"pagewrite", "eio", true},
 		{"pagewrite", "enospc", true},
 		{"checkpoint", "eio", true},
@@ -261,6 +272,11 @@ func runDiskFaultScenario(t *testing.T, sc diskFaultScenario) {
 	for i := 0; i < 60; i++ {
 		switch i {
 		case 20:
+			// Every cell strikes mid-chain: the table's page has its
+			// image and the deltas of earlier rows in the live log.
+			if st := eng.WALStats(); st.DeltaRecords == 0 {
+				t.Fatalf("no delta logged before the fault window: %+v", st)
+			}
 			storage.ArmFault(sc.point + ":" + sc.mode)
 		case 40:
 			storage.ArmFault("")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"predator/internal/storage"
@@ -150,5 +151,58 @@ func TestOpenRejectsBadDurability(t *testing.T) {
 	_, err := Open(filepath.Join(t.TempDir(), "bad.db"), Options{Durability: "paranoid"})
 	if err == nil {
 		t.Fatalf("Open accepted an unknown durability mode")
+	}
+}
+
+// TestTwoSessionsInsertIntoOneTable: sessions inserting into the same
+// table at durability commit used to race inside the heap file (lost
+// slots, "storage: page full"). Every acknowledged row must be there,
+// before and after a reopen.
+func TestTwoSessionsInsertIntoOneTable(t *testing.T) {
+	const sessions, each = 2, 400
+	path := filepath.Join(t.TempDir(), "shared.db")
+	e, err := Open(path, Options{Durability: "commit"})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := e.Exec("CREATE TABLE ev (id INT, who STRING)"); err != nil {
+		t.Fatalf("CREATE: %v", err)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			sess := e.NewSession()
+			for i := 0; i < each; i++ {
+				if _, err := sess.Exec(fmt.Sprintf("INSERT INTO ev VALUES (%d, 'session-%d')", s*each+i, s)); err != nil {
+					t.Errorf("session %d insert %d: %v", s, i, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if n := countRows(t, e, "ev"); n != sessions*each {
+		t.Fatalf("rows = %d, want %d", n, sessions*each)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	e2, err := Open(path, Options{Durability: "commit"})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e2.Close()
+	res, err := e2.Exec("SELECT id FROM ev")
+	if err != nil {
+		t.Fatalf("SELECT after reopen: %v", err)
+	}
+	seen := make(map[int64]bool, len(res.Rows))
+	for _, row := range res.Rows {
+		seen[row[0].Int] = true
+	}
+	if len(res.Rows) != sessions*each || len(seen) != sessions*each {
+		t.Fatalf("after reopen: %d rows, %d distinct ids, want %d", len(res.Rows), len(seen), sessions*each)
 	}
 }

@@ -159,7 +159,8 @@ func Open(path string, opts Options) (*Engine, error) {
 	if rec := disk.Recovered(); rec.Ran {
 		obs.Logger().Info("crash recovery replayed WAL",
 			"component", "engine", "path", path,
-			"records", rec.Records, "bytes", rec.Bytes, "torn_tail", rec.TornTail)
+			"records", rec.Records, "images", rec.Images, "deltas", rec.Deltas,
+			"bytes", rec.Bytes, "torn_tail", rec.TornTail)
 	}
 	pool := storage.NewBufferPool(disk, opts.BufferPoolPages)
 	cat, err := catalog.Open(disk, pool)

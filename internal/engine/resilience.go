@@ -251,6 +251,8 @@ func (e *Engine) execShowStorage() (*Result, error) {
 		types.Column{Name: "current_lsn", Kind: types.KindInt},
 		types.Column{Name: "durable_lsn", Kind: types.KindInt},
 		types.Column{Name: "wal_bytes", Kind: types.KindInt},
+		types.Column{Name: "wal_image_bytes", Kind: types.KindInt},
+		types.Column{Name: "wal_delta_bytes", Kind: types.KindInt},
 		types.Column{Name: "archiving", Kind: types.KindBool},
 		types.Column{Name: "archive_lag_bytes", Kind: types.KindInt},
 		types.Column{Name: "read_only", Kind: types.KindBool},
@@ -268,6 +270,8 @@ func (e *Engine) execShowStorage() (*Result, error) {
 		types.NewInt(st.Disk.CurrentLSN),
 		types.NewInt(st.Disk.DurableLSN),
 		types.NewInt(st.Disk.WALBytes),
+		types.NewInt(st.Disk.WALImageBytes),
+		types.NewInt(st.Disk.WALDeltaBytes),
 		types.NewBool(st.Disk.Archiving),
 		types.NewInt(st.Disk.ArchiveLag),
 		types.NewBool(st.ReadOnly),

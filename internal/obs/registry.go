@@ -256,6 +256,10 @@ func NewRegistry() *Registry {
 // (mirroring how supervision counters were already process-global).
 var Default = NewRegistry()
 
+// labelEscaper escapes a label value for the exposition format. Built
+// once: every labelled lookup — several per statement — renders labels.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // renderLabels canonicalizes k,v pairs: sorted, escaped, `k="v"` form.
 func renderLabels(labels []string) string {
 	if len(labels) == 0 {
@@ -266,7 +270,7 @@ func renderLabels(labels []string) string {
 	}
 	pairs := make([]string, 0, len(labels)/2)
 	for i := 0; i < len(labels); i += 2 {
-		v := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(labels[i+1])
+		v := labelEscaper.Replace(labels[i+1])
 		pairs = append(pairs, fmt.Sprintf(`%s=%q`, labels[i], v))
 	}
 	sort.Strings(pairs)

@@ -153,6 +153,12 @@ func TestStorageMetricsExposition(t *testing.T) {
 		"predator_storage_archive_bytes_total",
 		"predator_storage_read_repairs_total",
 		"predator_storage_wal_rebuilds_total",
+		`predator_wal_records_total{type="image"}`,
+		`predator_wal_records_total{type="delta"}`,
+		`predator_wal_records_total{type="meta"}`,
+		`predator_wal_records_total{type="commit"}`,
+		`predator_wal_record_bytes_total{type="image"}`,
+		`predator_wal_record_bytes_total{type="delta"}`,
 		"predator_scrub_passes_total",
 		"predator_scrub_pages_total",
 		"predator_scrub_segments_total",

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,8 +26,10 @@ import (
 // A base backup (BACKUP TO '<dir>') pairs a fuzzy copy of the data
 // file with a manifest naming the checkpoint fence LSNs; restore
 // copies the base and replays every archived record in [start, target)
-// on top of it — full page images make the replay idempotent, which is
-// what lets the base copy proceed while writers continue.
+// on top of it. Both fences are checkpoints, so the replay begins on a
+// generation boundary and rebuilds every page it touches from the
+// image that starts the page's chain, never from the copied frame —
+// which is what lets the base copy proceed while writers continue.
 
 // Archive metrics (process-wide).
 var (
@@ -314,9 +315,7 @@ func Restore(backupDir, archiveDir, outPath string, targetLSN int64) (RestoreInf
 	defer out.Close()
 
 	// Replay [StartLSN, targetLSN).
-	var metaSeen bool
-	var numPages, freeHead uint32
-	var metaLSN uint64
+	r := newRedo(out)
 	for _, s := range chain {
 		if s.Start >= targetLSN {
 			break
@@ -333,21 +332,10 @@ func Restore(backupDir, archiveDir, outPath string, targetLSN int64) (RestoreInf
 			}
 			used = true
 			info.Records++
-			switch rec.typ {
-			case walPageImage:
-				if err := writeFrameTo(out, rec.page, rec.payload, uint64(lsn)); err != nil {
-					return fmt.Errorf("storage: restore: redo page %d: %w", rec.page, err)
-				}
-			case walMeta:
-				metaSeen = true
-				numPages = binary.LittleEndian.Uint32(rec.payload[0:])
-				freeHead = binary.LittleEndian.Uint32(rec.payload[4:])
-				metaLSN = uint64(lsn)
-			}
-			return nil
+			return r.apply(rec, lsn)
 		})
 		if err != nil {
-			return info, err
+			return info, fmt.Errorf("storage: restore: %w", err)
 		}
 		if torn {
 			return info, fmt.Errorf("storage: segment %s corrupt: %w", filepath.Base(s.Path), ErrChecksum)
@@ -356,10 +344,8 @@ func Restore(backupDir, archiveDir, outPath string, targetLSN int64) (RestoreInf
 			info.Segments++
 		}
 	}
-	if metaSeen {
-		if err := writeFrameTo(out, 0, encodeMetaPayload(numPages, freeHead), metaLSN); err != nil {
-			return info, fmt.Errorf("storage: restore: redo meta page: %w", err)
-		}
+	if err := r.flush(); err != nil {
+		return info, fmt.Errorf("storage: restore: %w", err)
 	}
 	if err := healFramesAfterReplay(out); err != nil {
 		return info, err

@@ -21,11 +21,23 @@ var (
 // Fig. 4 calibration measures exactly this path.
 //
 // The pool enforces the WAL-before-data ordering for pages it caches:
-// a dirty page's after-image is appended to the log when its last pin
-// is released (and again before eviction or FlushAll if it was
+// a dirty page's change is appended to the log when its last pin is
+// released (and again before eviction or FlushAll if it was
 // re-dirtied), so no dirty page can reach the data file ahead of its
 // log record, and a statement-boundary Commit captures every page the
 // statement touched even if it is still only in memory.
+//
+// What is appended is decided per unpin, with no option: the byte
+// ranges the pin's holder marked (Page.Insert/Delete/SetNext/Init mark
+// what they write), as a delta, when the frame has a base — its full
+// image or its allocation record is in the live log generation — and
+// every change since was marked; otherwise the whole page, which gives
+// the frame its base. A holder that wrote through Data(), or marked
+// nothing, gets the image: forgetting to mark is slow, never wrong. A
+// frame loses its base with the frame (eviction) or with the
+// generation (checkpoint, RebuildWAL), so every delta chain in a
+// generation starts with an image. Marks are offsets, not copies: a
+// frame costs no more memory than its page.
 type BufferPool struct {
 	mu       sync.Mutex
 	disk     *DiskManager
@@ -48,32 +60,67 @@ type frame struct {
 	buf     [PageSize]byte
 	pins    int
 	dirty   bool
-	logged  bool          // dirty contents already have a WAL image
+	logged  bool          // dirty contents are already in the WAL
 	dropped bool          // detached from the pool; discard at unpin
 	lruEle  *list.Element // non-nil iff unpinned and resident
+
+	// What the next log record of this frame must carry.
+	base    uint64      // log generation holding the page's image; 0 = none
+	pending []pageRange // marked changes since the last record
+	full    bool        // unmarked changes since the last record: log the image
 }
+
+// Marks a pin or a frame collects before giving up and logging the
+// whole page. An insert into a fresh page makes four.
+const (
+	maxPinMarks     = 6
+	maxPendingMarks = 64
+)
 
 // PinnedPage is a handle to a pinned buffer frame. Callers must call
 // Unpin exactly once; Data is invalid afterwards.
 type PinnedPage struct {
 	pool  *BufferPool
 	frame *frame
+
+	// The byte ranges this holder changed through Page(); raw means it
+	// may have changed any (Data() was handed out, or marks overflowed).
+	marks  [maxPinMarks]pageRange
+	nmarks int
+	raw    bool
 }
 
 // ID returns the pinned page's ID.
 func (pp *PinnedPage) ID() PageID { return pp.frame.id }
 
 // Data returns the page buffer. Mutating it requires marking the page
-// dirty at Unpin time.
-func (pp *PinnedPage) Data() []byte { return pp.frame.buf[:] }
+// dirty at Unpin time, and is logged as a whole page.
+func (pp *PinnedPage) Data() []byte {
+	pp.raw = true
+	return pp.frame.buf[:]
+}
 
-// Page returns a slotted-page view of the buffer.
-func (pp *PinnedPage) Page() *Page { return AsPage(pp.frame.buf[:]) }
+// Page returns a slotted-page view of the buffer whose mutators mark
+// what they change, so a dirty Unpin can log just that.
+func (pp *PinnedPage) Page() *Page { return &Page{buf: pp.frame.buf[:], pin: pp} }
+
+// mark records that the holder changed bytes [off, off+n).
+func (pp *PinnedPage) mark(off, n int) {
+	if n == 0 {
+		return
+	}
+	if pp.nmarks == len(pp.marks) {
+		pp.raw = true
+		return
+	}
+	pp.marks[pp.nmarks] = pageRange{off: uint16(off), n: uint16(n)}
+	pp.nmarks++
+}
 
 // Unpin releases the pin. If dirty is true the page will be written
 // back before eviction (or at FlushAll).
 func (pp *PinnedPage) Unpin(dirty bool) {
-	pp.pool.unpin(pp.frame, dirty)
+	pp.pool.unpin(pp, dirty)
 	pp.frame = nil
 }
 
@@ -116,6 +163,9 @@ func (bp *BufferPool) Fetch(id PageID) (*PinnedPage, error) {
 // Allocate creates a brand-new page (formatted as an empty slotted
 // page) and returns it pinned.
 func (bp *BufferPool) Allocate() (*PinnedPage, error) {
+	// Read the generation first: a checkpoint between this and the
+	// allocation record only costs the page an image.
+	gen := bp.disk.walGeneration()
 	id, err := bp.disk.Allocate()
 	if err != nil {
 		return nil, err
@@ -126,9 +176,11 @@ func (bp *BufferPool) Allocate() (*PinnedPage, error) {
 	if err != nil {
 		return nil, err
 	}
-	AsPage(f.buf[:]).Init()
+	f.base = gen // of the allocation record: a zero image, like the new frame
 	f.dirty = true
-	return &PinnedPage{pool: bp, frame: f}, nil
+	pp := &PinnedPage{pool: bp, frame: f}
+	pp.Page().Init()
+	return pp, nil
 }
 
 // allocFrameLocked finds a frame for id, evicting if needed, and pins
@@ -156,7 +208,7 @@ func (bp *BufferPool) evictLocked() error {
 	}
 	victim := ele.Value.(*frame)
 	if victim.dirty {
-		if err := bp.logImageLocked(victim); err != nil {
+		if err := bp.logLocked(victim); err != nil {
 			return err
 		}
 		if err := bp.disk.Write(victim.id, victim.buf[:]); err != nil {
@@ -181,17 +233,31 @@ func (bp *BufferPool) detachLocked(f *frame) {
 	f.dropped = true
 }
 
-// logImageLocked appends the frame's after-image to the WAL if its
-// dirty contents are not logged yet.
-func (bp *BufferPool) logImageLocked(f *frame) error {
+// logLocked appends the frame's unlogged changes to the WAL, as a
+// delta or an image (see DiskManager.logPage), if there are any.
+func (bp *BufferPool) logLocked(f *frame) error {
 	if f.logged {
 		return nil
 	}
-	if err := bp.disk.LogPageImage(f.id, f.buf[:]); err != nil {
+	ranges := f.pending
+	if f.full {
+		ranges = nil
+	}
+	gen, err := bp.disk.logPage(f.id, f.buf[:], ranges, f.base)
+	if err != nil {
 		return err
 	}
-	f.logged = true
+	f.markLogged(gen)
 	return nil
+}
+
+// markLogged records that the log generation gen describes the
+// frame's contents in full.
+func (f *frame) markLogged(gen uint64) {
+	f.logged = true
+	f.base = gen
+	f.pending = f.pending[:0]
+	f.full = false
 }
 
 func (bp *BufferPool) pinLocked(f *frame) {
@@ -202,7 +268,8 @@ func (bp *BufferPool) pinLocked(f *frame) {
 	f.pins++
 }
 
-func (bp *BufferPool) unpin(f *frame, dirty bool) {
+func (bp *BufferPool) unpin(pp *PinnedPage, dirty bool) {
+	f := pp.frame
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f.pins <= 0 {
@@ -211,6 +278,11 @@ func (bp *BufferPool) unpin(f *frame, dirty bool) {
 	if dirty {
 		f.dirty = true
 		f.logged = false
+		if pp.raw || pp.nmarks == 0 || len(f.pending)+pp.nmarks > maxPendingMarks {
+			f.full = true
+		} else if !f.full {
+			f.pending = append(f.pending, pp.marks[:pp.nmarks]...)
+		}
 	}
 	f.pins--
 	if f.dropped {
@@ -219,13 +291,11 @@ func (bp *BufferPool) unpin(f *frame, dirty bool) {
 	if f.pins == 0 {
 		if f.dirty && !f.logged {
 			// Last pin released: the page's final contents for this
-			// statement are known, so get its redo image into the log
-			// before the statement can be acknowledged.
-			if err := bp.logImageLocked(f); err != nil {
-				// Leave the frame unlogged; eviction/FlushAll retries
-				// and surfaces the error on the write path.
-				f.logged = false
-			}
+			// statement are known, so get its redo record into the log
+			// before the statement can be acknowledged. On failure the
+			// frame stays unlogged; eviction/FlushAll retries and
+			// surfaces the error on the write path.
+			_ = bp.logLocked(f)
 		}
 		f.lruEle = bp.lru.PushBack(f)
 	}
@@ -244,13 +314,13 @@ func (bp *BufferPool) Drop(id PageID) {
 }
 
 // FlushAll writes every dirty resident page back to disk, logging
-// still-unlogged images first.
+// still-unlogged changes first.
 func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for _, f := range bp.frames {
 		if f.dirty {
-			if err := bp.logImageLocked(f); err != nil {
+			if err := bp.logLocked(f); err != nil {
 				return err
 			}
 			if err := bp.disk.Write(f.id, f.buf[:]); err != nil {
@@ -283,16 +353,18 @@ func (bp *BufferPool) DirtyImages() map[PageID][]byte {
 }
 
 // MarkAllLogged records that every dirty page's current image is in
-// the (rebuilt) log, so unpin/eviction will not re-append images that
-// RebuildWAL already persisted. Call only after a successful rebuild
-// that included DirtyImages' snapshot, with no writers in between (the
-// engine holds its checkpoint lock exclusively across both).
+// the (rebuilt) log — its base from here on — so unpin/eviction will
+// not re-append images that RebuildWAL already persisted. Call only
+// after a successful rebuild that included DirtyImages' snapshot, with
+// no writers in between (the engine holds its checkpoint lock
+// exclusively across both).
 func (bp *BufferPool) MarkAllLogged() {
+	gen := bp.disk.walGeneration()
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for _, f := range bp.frames {
 		if f.dirty {
-			f.logged = true
+			f.markLogged(gen)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -182,11 +183,13 @@ func TestBufferPoolFetchErrorLeavesNoOrphan(t *testing.T) {
 	}
 }
 
-// TestBufferPoolLogsDirtyImagesAtUnpin: under a durable disk manager,
-// releasing the last pin of a dirty page must append its after-image
-// to the WAL, so a statement-boundary Commit makes it recoverable even
-// though the page is only in memory.
-func TestBufferPoolLogsDirtyImagesAtUnpin(t *testing.T) {
+// TestBufferPoolLogsDirtyPagesAtUnpin: under a durable disk manager,
+// releasing the last pin of a dirty page must append exactly one record
+// of its change to the WAL — the whole page for a holder that wrote
+// through Data(), the marked bytes for one that went through Page() —
+// so a statement-boundary Commit makes it recoverable even though the
+// page is only in memory.
+func TestBufferPoolLogsDirtyPagesAtUnpin(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "unpinlog.db")
 	d := openDurable(t, path)
 	pool := NewBufferPool(d, 8)
@@ -198,15 +201,34 @@ func TestBufferPoolLogsDirtyImagesAtUnpin(t *testing.T) {
 	id := pp.ID()
 	want := bytes.Repeat([]byte{0x42}, PageSize)
 	copy(pp.Data(), want)
-	appendsBefore := d.WALStats().Appends
+	before := d.WALStats()
 	pp.Unpin(true)
-	if got := d.WALStats().Appends; got != appendsBefore+1 {
-		t.Fatalf("unpin(dirty) appended %d records, want 1", got-appendsBefore)
+	after := d.WALStats()
+	if after.Appends != before.Appends+1 || after.ImageRecords != before.ImageRecords+1 {
+		t.Fatalf("unpin(dirty) after a raw write appended %d records, %d of them images; want 1 image",
+			after.Appends-before.Appends, after.ImageRecords-before.ImageRecords)
 	}
+
+	// The image is the page's base: a marked change on top of it is one
+	// small delta.
+	pp, err = pool.Fetch(id)
+	if err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	pp.Page().SetNext(7)
+	binary.LittleEndian.PutUint32(want[0:], 7)
+	before = after
+	pp.Unpin(true)
+	after = d.WALStats()
+	if after.Appends != before.Appends+1 || after.DeltaRecords != before.DeltaRecords+1 || after.Bytes-before.Bytes > 32 {
+		t.Fatalf("unpin(dirty) after a marked write appended %d records (%d deltas, %d bytes); want 1 delta of a few bytes",
+			after.Appends-before.Appends, after.DeltaRecords-before.DeltaRecords, after.Bytes-before.Bytes)
+	}
+
 	if err := d.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	// Crash without ever flushing the pool; the image must come back.
+	// Crash without ever flushing the pool; image and delta must come back.
 	crashDisk(d)
 	d2 := openDurable(t, path)
 	defer d2.Close()

@@ -7,7 +7,6 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -40,8 +39,8 @@ const PageSize = 8192
 // PageSize payload. The header carries a CRC32-C over everything after
 // the checksum field (reserved bytes, LSN, payload), so torn or
 // bit-rotted pages are detected at read time, and the LSN of the WAL
-// record that last described the page (diagnostic only — recovery is
-// physical redo and does not consult it).
+// record that last described the page (diagnostic only — redo rebuilds
+// a page from its logged image and does not consult it).
 const (
 	frameHeaderSize = 16 // crc32c(4) | reserved(4) | lsn(8)
 	DiskFrameSize   = frameHeaderSize + PageSize
@@ -141,13 +140,21 @@ type DiskManager struct {
 	freeHead PageID
 	closed   bool
 
-	mode       Durability
-	wal        *wal
+	mode Durability
+	wal  *wal
+	// walGen numbers the live log generation (from 1; a checkpoint's
+	// truncation and RebuildWAL start the next). A page may be logged as
+	// a delta only while the generation holding its image is live.
+	walGen     uint64
 	walPath    string
 	archiveDir string
 	recovered  RecoveryInfo
 
 	frame [DiskFrameSize]byte // scratch for frame I/O, guarded by mu
+
+	// logHook, when set (tests only), sees every record about to be
+	// appended, as wal.append is given it.
+	logHook func(typ byte, id PageID, payload []byte, ranges []pageRange)
 
 	// Stats counts physical I/O for calibration experiments.
 	stats DiskStats
@@ -179,7 +186,7 @@ func OpenDiskOptions(path string, opts DiskOptions) (*DiskManager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
-	d := &DiskManager{f: f, path: path, mode: opts.Durability, walPath: WALPath(path), archiveDir: opts.ArchiveDir}
+	d := &DiskManager{f: f, path: path, mode: opts.Durability, walGen: 1, walPath: WALPath(path), archiveDir: opts.ArchiveDir}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -289,7 +296,7 @@ func verifyFrame(frame []byte) bool {
 
 // writeFrameTo stamps payload into a frame and writes it at id's
 // offset in f. Shared by the open path, recovery and the write path.
-func writeFrameTo(f *os.File, id PageID, payload []byte, lsn uint64) error {
+func writeFrameTo(f io.WriterAt, id PageID, payload []byte, lsn uint64) error {
 	var frame [DiskFrameSize]byte
 	copy(frame[frameHeaderSize:], payload)
 	stampFrame(frame[:], lsn)
@@ -354,13 +361,17 @@ func (d *DiskManager) writeFrameLocked(id PageID, buf []byte, faultPoint string)
 	return nil
 }
 
-// logLocked appends a WAL record, fsyncing immediately under
-// DurabilityAlways. No-op when the WAL is off.
-func (d *DiskManager) logLocked(typ byte, id PageID, payload []byte) error {
+// logLocked appends a WAL record (payload and ranges as for
+// walEncoder.encode), fsyncing immediately under DurabilityAlways.
+// No-op when the WAL is off.
+func (d *DiskManager) logLocked(typ byte, id PageID, payload []byte, ranges []pageRange) error {
 	if d.wal == nil {
 		return nil
 	}
-	if err := d.wal.append(typ, id, payload); err != nil {
+	if d.logHook != nil {
+		d.logHook(typ, id, payload, ranges)
+	}
+	if err := d.wal.append(typ, id, payload, ranges); err != nil {
 		return err
 	}
 	if d.mode == DurabilityAlways {
@@ -369,19 +380,27 @@ func (d *DiskManager) logLocked(typ byte, id PageID, payload []byte) error {
 	return nil
 }
 
-// writeMetaLocked logs and writes the meta page.
-func (d *DiskManager) writeMetaLocked() error {
-	var link [8]byte
+// metaRecordLocked renders the walMeta payload for the current state.
+func (d *DiskManager) metaRecordLocked() []byte {
+	link := make([]byte, 8)
 	binary.LittleEndian.PutUint32(link[0:], d.numPages)
 	binary.LittleEndian.PutUint32(link[4:], uint32(d.freeHead))
-	if err := d.logLocked(walMeta, 0, link[:]); err != nil {
+	return link
+}
+
+// writeMetaLocked logs and writes the meta page.
+func (d *DiskManager) writeMetaLocked() error {
+	if err := d.logLocked(walMeta, 0, d.metaRecordLocked(), nil); err != nil {
 		return err
 	}
 	return d.writeFrameLocked(0, encodeMetaPayload(d.numPages, uint32(d.freeHead)), "metawrite")
 }
 
 // Allocate returns a fresh page ID, reusing a freed page if one exists.
-// The page contents are undefined; callers must initialize them.
+// The page contents are undefined; callers must initialize them. Either
+// way a zero image of the page is logged as its allocation record, so a
+// caller that starts the page from zeroes (the buffer pool) can log its
+// first change as a delta.
 func (d *DiskManager) Allocate() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -400,6 +419,13 @@ func (d *DiskManager) Allocate() (PageID, error) {
 		if err := d.writeMetaLocked(); err != nil {
 			return InvalidPageID, err
 		}
+		// The meta record goes first: a replayed prefix that zeroes the
+		// page while the free list still starts at it would read the
+		// next link as page 0.
+		clear(page[:])
+		if err := d.logLocked(walPageImage, id, page[:], nil); err != nil {
+			return InvalidPageID, err
+		}
 		return id, nil
 	}
 	id := PageID(d.numPages)
@@ -407,7 +433,7 @@ func (d *DiskManager) Allocate() (PageID, error) {
 	// Extend the file with a valid (zeroed, checksummed) frame so reads
 	// of the new page succeed and recovery can tell a hole from a tear.
 	var zero [PageSize]byte
-	if err := d.logLocked(walPageImage, id, zero[:]); err != nil {
+	if err := d.logLocked(walPageImage, id, zero[:], nil); err != nil {
 		d.numPages--
 		return InvalidPageID, err
 	}
@@ -435,7 +461,7 @@ func (d *DiskManager) Free(id PageID) error {
 	}
 	var page [PageSize]byte
 	binary.LittleEndian.PutUint32(page[:4], uint32(d.freeHead))
-	if err := d.logLocked(walPageImage, id, page[:]); err != nil {
+	if err := d.logLocked(walPageImage, id, page[:], nil); err != nil {
 		return err
 	}
 	if err := d.writeFrameLocked(id, page[:], "pagewrite"); err != nil {
@@ -465,9 +491,9 @@ func (d *DiskManager) Read(id PageID, buf []byte) error {
 	err := d.readFrameLocked(id, buf)
 	if errors.Is(err, ErrChecksum) || errors.Is(err, ErrShortRead) {
 		// A poisoned frame is recoverable if the current log still holds
-		// an after-image of the page (the image is durable before the
-		// frame is ever written, so a torn or bit-rotted frame whose
-		// write we logged can always be reconstructed).
+		// an image of the page (its records are durable before the frame
+		// is ever written, so a torn or bit-rotted frame whose write we
+		// logged can always be reconstructed).
 		if rerr := d.repairFromWALLocked(id); rerr == nil {
 			obsReadRepairs.Inc()
 			return d.readFrameLocked(id, buf)
@@ -476,9 +502,9 @@ func (d *DiskManager) Read(id PageID, buf []byte) error {
 	return err
 }
 
-// repairFromWALLocked rewrites page id's frame from the newest
-// after-image in the current log generation. Returns an error when the
-// log holds no image of the page.
+// repairFromWALLocked rewrites page id's frame with its newest
+// contents as the current log generation describes them. Returns an
+// error when the log holds no image of the page.
 func (d *DiskManager) repairFromWALLocked(id PageID) error {
 	if d.wal == nil {
 		return fmt.Errorf("storage: page %d: no WAL to repair from", id)
@@ -486,7 +512,7 @@ func (d *DiskManager) repairFromWALLocked(id PageID) error {
 	// Only flushed bytes are visible in the file; flushing buffered
 	// appends is safe (it makes no durability promise).
 	if d.wal.err == nil {
-		if err := d.wal.w.Flush(); err != nil {
+		if err := d.wal.enc.w.Flush(); err != nil {
 			d.wal.err = fmt.Errorf("storage: wal flush: %w", err)
 		}
 	}
@@ -494,19 +520,11 @@ func (d *DiskManager) repairFromWALLocked(id PageID) error {
 	if err != nil {
 		return fmt.Errorf("storage: page %d: read wal for repair: %w", id, err)
 	}
-	var image []byte
-	var imageOff int64 = -1
-	scanWAL(log, func(rec walRecord) error {
-		if rec.typ == walPageImage && rec.page == id {
-			image = append(image[:0], rec.payload...)
-			imageOff = int64(rec.off)
-		}
-		return nil
-	})
-	if imageOff < 0 {
+	image, lsn, _ := foldPage(log, d.wal.base, id)
+	if image == nil {
 		return fmt.Errorf("storage: page %d: no image in current wal", id)
 	}
-	if err := writeFrameTo(d.f, id, image, uint64(d.wal.base+imageOff)); err != nil {
+	if err := writeFrameTo(d.f, id, image, lsn); err != nil {
 		return err
 	}
 	return d.f.Sync()
@@ -548,7 +566,37 @@ func (d *DiskManager) LogPageImage(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("storage: log buffer is %d bytes, want %d", len(buf), PageSize)
 	}
-	return d.logLocked(walPageImage, id, buf)
+	return d.logLocked(walPageImage, id, buf, nil)
+}
+
+// logPage appends the buffer pool's pending change to page id: the
+// bytes of buf in ranges as a delta when the page's image is in the
+// live generation (base == walGen) and the ranges are known and small,
+// otherwise buf as a full image. It returns the generation that now
+// holds the page's base (0 with the WAL off).
+func (d *DiskManager) logPage(id PageID, buf []byte, ranges []pageRange, base uint64) (uint64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return 0, ErrClosed
+	}
+	if d.wal == nil {
+		return 0, nil
+	}
+	if base != d.walGen || len(ranges) == 0 || deltaLen(ranges) > maxDeltaPayload {
+		return d.walGen, d.logLocked(walPageImage, id, buf, nil)
+	}
+	return d.walGen, d.logLocked(walPageDelta, id, buf, ranges)
+}
+
+// walGeneration returns the live log generation (0 with the WAL off).
+func (d *DiskManager) walGeneration() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.wal == nil {
+		return 0
+	}
+	return d.walGen
 }
 
 // Commit makes every logged change durable (WAL flush + fsync), first
@@ -613,11 +661,12 @@ func (d *DiskManager) Checkpoint() error {
 		}
 	}
 	// Crash window under test: data is durable but the log has not been
-	// truncated yet, so recovery re-applies (idempotent) images.
+	// truncated yet, so recovery re-applies the (idempotent) records.
 	fireFault("checkpoint", nil)
 	if err := d.wal.reset(); err != nil {
 		return err
 	}
+	d.walGen++
 	obsWALCheckpoints.Inc()
 	return nil
 }
@@ -700,13 +749,18 @@ func (d *DiskManager) ArchiveDir() string { return d.archiveDir }
 // DiskStatus is a point-in-time snapshot of the storage manager's
 // resilience state, surfaced through SHOW STORAGE and /metrics.
 type DiskStatus struct {
-	CurrentLSN int64  // global end-of-log LSN
-	DurableLSN int64  // global LSN known on stable storage
-	WALBytes   int64  // live log size (bytes)
-	ArchiveLag int64  // bytes not yet rolled into an archive segment
-	Archiving  bool   // archiving enabled
-	WALStuck   string // sticky log error ("" when healthy)
-	Recovered  RecoveryInfo
+	CurrentLSN int64 // global end-of-log LSN
+	DurableLSN int64 // global LSN known on stable storage
+	WALBytes   int64 // live log size (bytes)
+	// WALImageBytes and WALDeltaBytes are the cumulative bytes of page
+	// records appended since open, by kind: their ratio is how much of
+	// the log goes on restarting delta chains.
+	WALImageBytes int64
+	WALDeltaBytes int64
+	ArchiveLag    int64  // bytes not yet rolled into an archive segment
+	Archiving     bool   // archiving enabled
+	WALStuck      string // sticky log error ("" when healthy)
+	Recovered     RecoveryInfo
 }
 
 // Status snapshots the resilience state.
@@ -718,6 +772,8 @@ func (d *DiskManager) Status() DiskStatus {
 		s.CurrentLSN = d.wal.base + d.wal.size
 		s.DurableLSN = d.wal.base + d.wal.synced
 		s.WALBytes = d.wal.size
+		s.WALImageBytes = int64(d.wal.stats.ImageBytes)
+		s.WALDeltaBytes = int64(d.wal.stats.DeltaBytes)
 		if s.Archiving {
 			s.ArchiveLag = d.wal.size
 		}
@@ -818,41 +874,36 @@ func (d *DiskManager) RebuildWAL(images map[PageID][]byte) error {
 	}
 	// The durable valid prefix of the old generation. Flush what we can
 	// first (best effort — the writer may be poisoned mid-buffer).
-	d.wal.w.Flush()
+	d.wal.enc.w.Flush()
 	oldLog, err := os.ReadFile(d.walPath)
 	if err != nil {
 		return fmt.Errorf("storage: rebuild: read old wal: %w", err)
 	}
 	valid, _, _ := scanWAL(oldLog, nil)
-
-	// Assemble the new generation.
-	var link [8]byte
-	binary.LittleEndian.PutUint32(link[0:], d.numPages)
-	binary.LittleEndian.PutUint32(link[4:], uint32(d.freeHead))
-	var fresh []byte
-	fresh = append(fresh, encodeWALRecord(walMeta, 0, link[:])...)
 	for id, img := range images {
 		if len(img) != PageSize {
 			return fmt.Errorf("storage: rebuild: image for page %d is %d bytes", id, len(img))
 		}
-		fresh = append(fresh, encodeWALRecord(walPageImage, id, img)...)
 	}
-	fresh = append(fresh, encodeWALRecord(walCommit, 0, nil)...)
 
+	// Write the new generation. A failed append is sticky in the new
+	// log, so only the sync that ends it is checked.
 	tmpPath := d.walPath + ".rebuild"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: rebuild: create new wal: %w", err)
 	}
-	if _, err := tmp.Write(fresh); err != nil {
+	fresh := newWAL(tmp, d.wal.base+valid)
+	fresh.stats = d.wal.stats
+	_ = fresh.append(walMeta, 0, d.metaRecordLocked(), nil)
+	for id, img := range images {
+		_ = fresh.append(walPageImage, id, img, nil)
+	}
+	_ = fresh.appendCommitMark()
+	if err := fresh.sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmpPath)
 		return fmt.Errorf("storage: rebuild: write new wal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("storage: rebuild: sync new wal: %w", err)
 	}
 
 	// Preserve the old generation's history before discarding it.
@@ -868,20 +919,9 @@ func (d *DiskManager) RebuildWAL(images map[PageID][]byte) error {
 		os.Remove(tmpPath)
 		return fmt.Errorf("storage: rebuild: publish new wal: %w", err)
 	}
-	newBase := d.wal.base + valid
 	oldF := d.wal.f
-	if _, err := tmp.Seek(int64(len(fresh)), 0); err != nil {
-		return fmt.Errorf("storage: rebuild: seek new wal: %w", err)
-	}
-	d.wal = &wal{
-		f:      tmp,
-		w:      bufio.NewWriterSize(tmp, 1<<16),
-		base:   newBase,
-		size:   int64(len(fresh)),
-		synced: int64(len(fresh)),
-		marked: int64(len(fresh)),
-		stats:  d.wal.stats,
-	}
+	d.wal = fresh
+	d.walGen++
 	oldF.Close()
 	obsWALRebuilds.Inc()
 	return nil

@@ -24,6 +24,8 @@ import (
 //
 //	walwrite   — appending a record to the write-ahead log (error
 //	             modes), or the WAL fsync (fsyncfail mode)
+//	deltawrite — appending a delta record: walwrite narrowed to a page
+//	             in the middle of its image + deltas chain
 //	pagewrite  — writing a page frame to the data file
 //	metawrite  — writing the meta page frame
 //	checkpoint — after the data-file sync, before WAL truncation
@@ -65,8 +67,8 @@ const FaultEnv = "PREDATOR_FAULT"
 const faultExitCode = 42
 
 var storagePoints = map[string]bool{
-	"walwrite": true, "pagewrite": true, "metawrite": true,
-	"checkpoint": true, "archive": true,
+	"walwrite": true, "deltawrite": true, "pagewrite": true,
+	"metawrite": true, "checkpoint": true, "archive": true,
 }
 
 // errorModes are the disk-fault modes that inject an error return

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // RID identifies a record: the page that holds it and its slot number.
@@ -32,7 +33,12 @@ type HeapFile struct {
 	pool  *BufferPool
 	disk  *DiskManager
 	first PageID
-	last  PageID // cached hint for fast appends; revalidated on use
+
+	// mu serializes mutators: each holds it from finding its page to
+	// unpinning it, so two sessions inserting into one table cannot both
+	// see room for one slot, or chain two new pages after the same one.
+	mu   sync.Mutex
+	last PageID // cached hint for fast appends; revalidated on use
 }
 
 // CreateHeapFile allocates a new, empty heap file and returns it. The
@@ -58,6 +64,8 @@ func (h *HeapFile) FirstPage() PageID { return h.first }
 
 // Insert stores rec and returns its RID. rec is copied.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if len(rec) > MaxInlineRecord {
 		return h.insertLarge(rec)
 	}
@@ -101,7 +109,7 @@ func (h *HeapFile) insertLarge(rec []byte) (RID, error) {
 			if err != nil {
 				return RID{}, err
 			}
-			binary.LittleEndian.PutUint32(prevPP.Data()[0:], uint32(id))
+			prevPP.Page().SetNext(id) // same offset on both page kinds
 			prevPP.Unpin(true)
 		}
 		prev = id
@@ -122,7 +130,7 @@ func (h *HeapFile) insertLarge(rec []byte) (RID, error) {
 }
 
 // lastPageWithRoom returns a pinned page with at least need bytes free,
-// appending a new page to the chain if necessary.
+// appending a new page to the chain if necessary. Called with h.mu held.
 func (h *HeapFile) lastPageWithRoom(need int) (*PinnedPage, error) {
 	// Start from the cached last-page hint and walk forward.
 	id := h.last
@@ -209,6 +217,8 @@ func (h *HeapFile) readOverflow(first PageID, totalLen uint32) ([]byte, error) {
 // Delete removes the record at rid, freeing any overflow chain. It
 // reports whether a live record was deleted.
 func (h *HeapFile) Delete(rid RID) (bool, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	pp, err := h.pool.Fetch(rid.Page)
 	if err != nil {
 		return false, err
@@ -247,6 +257,8 @@ func (h *HeapFile) freeOverflow(first PageID) error {
 // Destroy frees every page of the heap file, including overflow chains.
 // The heap file must not be used afterwards.
 func (h *HeapFile) Destroy() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	id := h.first
 	for id != InvalidPageID {
 		pp, err := h.pool.Fetch(id)

@@ -30,9 +30,20 @@ const (
 const MaxInlineRecord = PageSize - pageHeaderSize - slotSize
 
 // Page wraps a PageSize byte buffer with slotted-record accessors.
-// It does not own the buffer; the buffer pool does.
+// It does not own the buffer; the buffer pool does. A Page taken from
+// a PinnedPage tells the pin which bytes each mutator changed, which is
+// what lets the pool log a change instead of the page; every method
+// that writes buf must mark what it wrote.
 type Page struct {
 	buf []byte
+	pin *PinnedPage // nil for a bare buffer (AsPage)
+}
+
+// mark notes that bytes [off, off+n) of the page changed.
+func (p *Page) mark(off, n int) {
+	if p.pin != nil {
+		p.pin.mark(off, n)
+	}
 }
 
 // AsPage interprets buf as a slotted page. buf must be PageSize long.
@@ -48,6 +59,7 @@ func (p *Page) Init() {
 	binary.LittleEndian.PutUint32(p.buf[0:], uint32(InvalidPageID))
 	binary.LittleEndian.PutUint16(p.buf[4:], 0)
 	binary.LittleEndian.PutUint16(p.buf[6:], PageSize)
+	p.mark(0, pageHeaderSize)
 }
 
 // Next returns the next page in the heap-file chain. A zero link reads
@@ -66,6 +78,7 @@ func (p *Page) Next() PageID {
 // SetNext links the page to the next page in the chain.
 func (p *Page) SetNext(id PageID) {
 	binary.LittleEndian.PutUint32(p.buf[0:], uint32(id))
+	p.mark(0, 4)
 }
 
 // NumSlots returns the number of slots ever allocated on the page
@@ -96,6 +109,19 @@ func (p *Page) setSlot(i, offset, length int) {
 	base := pageHeaderSize + i*slotSize
 	binary.LittleEndian.PutUint16(p.buf[base:], uint16(offset))
 	binary.LittleEndian.PutUint16(p.buf[base+2:], uint16(length))
+	p.mark(base, slotSize)
+}
+
+// appendSlot publishes a record already written at [start, start+n)
+// as the page's next slot, with the given slot length.
+func (p *Page) appendSlot(start, n, length int) int {
+	slotNum := p.NumSlots()
+	p.mark(start, n)
+	p.setSlot(slotNum, start, length)
+	p.setNumSlots(slotNum + 1)
+	p.setFreeEnd(start)
+	p.mark(4, 4) // numSlots + freeEnd
+	return slotNum
 }
 
 // FreeSpace returns the bytes available for a new record plus its slot.
@@ -121,14 +147,10 @@ func (p *Page) Insert(rec []byte) (int, error) {
 	if !p.CanFit(len(rec)) {
 		return 0, fmt.Errorf("storage: page full (%d bytes free, need %d)", p.FreeSpace(), len(rec)+slotSize)
 	}
-	slotNum := p.NumSlots()
 	end := p.freeEnd()
 	start := end - len(rec)
 	copy(p.buf[start:end], rec)
-	p.setSlot(slotNum, start, len(rec))
-	p.setNumSlots(slotNum + 1)
-	p.setFreeEnd(start)
-	return slotNum, nil
+	return p.appendSlot(start, len(rec), len(rec)), nil
 }
 
 // insertLargeStub stores an overflow stub for a large record and marks
@@ -137,15 +159,11 @@ func (p *Page) insertLargeStub(first PageID, totalLen uint32) (int, error) {
 	if !p.CanFit(largeStubSize) {
 		return 0, fmt.Errorf("storage: page full for large-record stub")
 	}
-	slotNum := p.NumSlots()
 	end := p.freeEnd()
 	start := end - largeStubSize
 	binary.LittleEndian.PutUint32(p.buf[start:], uint32(first))
 	binary.LittleEndian.PutUint32(p.buf[start+4:], totalLen)
-	p.setSlot(slotNum, start, largeLength)
-	p.setNumSlots(slotNum + 1)
-	p.setFreeEnd(start)
-	return slotNum, nil
+	return p.appendSlot(start, largeStubSize, largeLength), nil
 }
 
 // Record returns the record bytes at slot i (aliasing the page buffer),

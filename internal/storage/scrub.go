@@ -15,8 +15,8 @@ import (
 // archived WAL segments, catching silent corruption before a query
 // trips over it. A bad page is repaired from the best available
 // durable image — the current WAL generation first (always the newest
-// content, since images are logged before frames are written), then
-// the newest archived image, then the base backup — and the repair is
+// content, since changes are logged before frames are written), then
+// the newest archived contents, then the base backup — and the repair is
 // re-verified. Corrupt archive segments cannot be repaired (they *are*
 // the history) and are only reported.
 //
@@ -230,8 +230,10 @@ func (s *Scrubber) repairPage(id PageID, probeErr error) {
 		"page", uint32(id), "source", source, "error", probeErr.Error())
 }
 
-// newestArchivedImage finds the latest after-image of the page across
-// the archive, newest segment first.
+// newestArchivedImage finds the page's latest contents in the archive:
+// the fold of the newest segment that mentions it. A segment whose
+// records of the page do not start with an image ends the search —
+// anything older is stale.
 func (s *Scrubber) newestArchivedImage(id PageID) ([]byte, uint64, bool) {
 	dir := s.disk.ArchiveDir()
 	if dir == "" {
@@ -246,17 +248,8 @@ func (s *Scrubber) newestArchivedImage(id PageID) ([]byte, uint64, bool) {
 		if err != nil {
 			continue
 		}
-		var img []byte
-		var lsn uint64
-		scanWAL(data, func(rec walRecord) error {
-			if rec.typ == walPageImage && rec.page == id {
-				img = append(img[:0], rec.payload...)
-				lsn = uint64(segs[i].Start + int64(rec.off))
-			}
-			return nil
-		})
-		if img != nil {
-			return img, lsn, true
+		if img, lsn, mentioned := foldPage(data, segs[i].Start, id); mentioned {
+			return img, lsn, img != nil
 		}
 	}
 	return nil, 0, false

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,15 +13,17 @@ import (
 	"predator/internal/obs"
 )
 
-// Write-ahead logging. The WAL is a physical redo log: whole-page
-// after-images plus meta-page updates, CRC-framed so a torn tail is
-// detected and ignored at replay. The ordering invariant is the
-// classic one — a page's log record is durable before the page itself
-// is written to the data file — enforced by DiskManager, which flushes
-// and fsyncs the WAL ahead of every data-file write. Recovery replays
-// the valid record prefix onto the data file at open; checkpoints
-// (flush-all + data fsync) archive the log into a segment (when
-// archiving is on) and truncate it.
+// Write-ahead logging. The WAL is a physical redo log of page changes:
+// a page's first change in a log generation is logged as its whole
+// after-image, every later one as the byte ranges that changed, CRC-
+// framed so a torn tail is detected and ignored at replay. The ordering
+// invariant is the classic one — a page's log record is durable before
+// the page itself is written to the data file — enforced by
+// DiskManager, which flushes and fsyncs the WAL ahead of every
+// data-file write. Recovery replays the valid record prefix onto the
+// data file at open; checkpoints (flush-all + data fsync) archive the
+// log into a segment (when archiving is on) and truncate it, which
+// starts a new generation.
 //
 // Record framing (little-endian). The record's LSN is its *global*
 // byte offset: the offsets of every log generation concatenate into
@@ -32,19 +35,52 @@ import (
 //
 // where the CRC covers everything before it. Record types:
 //
-//	walPageImage — payload is the full PageSize after-image of pageID
+//	walPageImage — payload is the full PageSize after-image of pageID,
+//	               or empty for an all-zero page (a fresh allocation)
 //	walMeta      — payload is numPages(4) | freeHead(4)
 //	walCommit    — empty payload; marks a statement-boundary commit.
 //	               Redo ignores it; point-in-time recovery replays up
 //	               to (exclusive) a chosen post-commit LSN.
+//	walPageDelta — payload is one or more off(2) | len(2) | bytes
+//	               ranges, each inside the page, to copy over pageID's
+//	               previous contents
+//
+// A delta is only ever written for a page whose image (or zero-image
+// allocation record) is earlier in the same generation, so every delta
+// chain a replay meets starts with an image and in-order redo needs
+// nothing from the data file — which may hold a torn frame. redo (see
+// redo.go) is the only code that interprets page records.
 const (
 	walPageImage byte = 1
 	walMeta      byte = 2
 	walCommit    byte = 3
+	walPageDelta byte = 4
 
 	walHeaderSize  = 9 // type + pageID + payloadLen
 	walTrailerSize = 4 // crc32c
+	deltaRangeHdr  = 4 // off(2) + len(2)
+
+	// maxDeltaPayload is the largest delta worth writing: past half a
+	// page the image is barely bigger and restarts the chain.
+	maxDeltaPayload = PageSize / 2
 )
+
+// walTypeNames label the per-type record metrics, indexed by type.
+var walTypeNames = [...]string{walPageImage: "image", walMeta: "meta", walCommit: "commit", walPageDelta: "delta"}
+
+// pageRange names changed bytes of a page: [off, off+n).
+type pageRange struct {
+	off, n uint16
+}
+
+// deltaLen returns the payload size of a delta record carrying ranges.
+func deltaLen(ranges []pageRange) int {
+	size := 0
+	for _, r := range ranges {
+		size += deltaRangeHdr + int(r.n)
+	}
+	return size
+}
 
 // Process-wide WAL metrics.
 var (
@@ -56,7 +92,21 @@ var (
 	obsWALRecoveries     = obs.Default.Counter("predator_wal_recoveries_total")
 	obsWALRecoveredRecs  = obs.Default.Counter("predator_wal_recovered_records_total")
 	obsWALRecoveredBytes = obs.Default.Counter("predator_wal_recovered_bytes_total")
+
+	// Appends and bytes again, split by record type: the image:delta
+	// ratio says how much of the log is chain restarts.
+	obsWALRecords     [len(walTypeNames)]*obs.Counter
+	obsWALRecordBytes [len(walTypeNames)]*obs.Counter
 )
+
+func init() {
+	for typ, name := range walTypeNames {
+		if name != "" {
+			obsWALRecords[typ] = obs.Default.Counter("predator_wal_records_total", "type", name)
+			obsWALRecordBytes[typ] = obs.Default.Counter("predator_wal_record_bytes_total", "type", name)
+		}
+	}
+}
 
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -70,6 +120,12 @@ type WALStats struct {
 	// the engine's query store diffs it around a statement to attribute
 	// commit-latency waits.
 	FsyncNanos uint64
+	// Image* and Delta* split the page records out of Appends/Bytes
+	// (the rest are meta and commit records).
+	ImageRecords uint64
+	ImageBytes   uint64
+	DeltaRecords uint64
+	DeltaBytes   uint64
 }
 
 // wal is the append side of the write-ahead log. It is owned by a
@@ -77,13 +133,18 @@ type WALStats struct {
 // of its own.
 type wal struct {
 	f      *os.File
-	w      *bufio.Writer
+	enc    walEncoder
 	base   int64 // global LSN of the log's first byte (archived history before it)
 	size   int64 // logical end offset within this generation (includes buffered records)
 	synced int64 // offset known durable on stable storage
 	marked int64 // offset as of the last commit-mark append (or reset)
 	err    error // sticky: first append/flush/fsync failure poisons the log
 	stats  WALStats
+}
+
+// newWAL wraps an open log file positioned at its end.
+func newWAL(f *os.File, base int64) *wal {
+	return &wal{f: f, enc: walEncoder{w: bufio.NewWriterSize(f, 1<<16)}, base: base}
 }
 
 // openWAL creates (truncating) the log file at path. Any previous log
@@ -95,50 +156,115 @@ func openWAL(path string, base int64) (*wal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal %s: %w", path, err)
 	}
-	return &wal{f: f, w: bufio.NewWriterSize(f, 1<<16), base: base}, nil
+	return newWAL(f, base), nil
 }
 
-// encodeWALRecord frames one record into a fresh buffer.
-func encodeWALRecord(typ byte, page PageID, payload []byte) []byte {
-	rec := make([]byte, walHeaderSize+len(payload)+walTrailerSize)
-	rec[0] = typ
-	binary.LittleEndian.PutUint32(rec[1:], uint32(page))
-	binary.LittleEndian.PutUint32(rec[5:], uint32(len(payload)))
-	copy(rec[walHeaderSize:], payload)
-	crc := crc32.Checksum(rec[:walHeaderSize+len(payload)], walCRC)
-	binary.LittleEndian.PutUint32(rec[walHeaderSize+len(payload):], crc)
-	return rec
+// walEncoder frames records straight into a buffered writer: header,
+// payload and a running CRC, with no per-record buffer. Write errors
+// are sticky in the bufio.Writer, so the pieces are written unchecked
+// and the error of the last one — the trailer — reports any of them.
+type walEncoder struct {
+	w       *bufio.Writer
+	crc     uint32
+	scratch [walHeaderSize]byte
 }
 
-// append frames and buffers one record. The record is not durable
-// until sync; callers enforce WAL-before-data ordering. A failed
-// append poisons the log: later appends, commits and checkpoints fail
-// fast on the sticky error rather than risking a silent durability
-// hole (the fsyncgate rule applies to the whole buffered pipeline).
-func (l *wal) append(typ byte, page PageID, payload []byte) error {
+func (e *walEncoder) put(p []byte) {
+	e.crc = crc32.Update(e.crc, walCRC, p)
+	_, _ = e.w.Write(p) // sticky; surfaced by the trailer write in encode
+}
+
+// encode writes one record and returns its framed size. For a
+// walPageDelta, payload is the whole page buffer and ranges select the
+// bytes to log; every other type logs payload itself (ranges nil). An
+// all-zero page image is logged with an empty payload.
+func (e *walEncoder) encode(typ byte, page PageID, payload []byte, ranges []pageRange) (int, error) {
+	plen := len(payload)
+	switch {
+	case typ == walPageDelta:
+		plen = deltaLen(ranges)
+	case typ == walPageImage && isZero(payload):
+		payload, plen = nil, 0
+	}
+	e.crc = 0
+	e.scratch[0] = typ
+	binary.LittleEndian.PutUint32(e.scratch[1:], uint32(page))
+	binary.LittleEndian.PutUint32(e.scratch[5:], uint32(plen))
+	e.put(e.scratch[:])
+	if typ == walPageDelta {
+		for _, r := range ranges {
+			binary.LittleEndian.PutUint16(e.scratch[0:], r.off)
+			binary.LittleEndian.PutUint16(e.scratch[2:], r.n)
+			e.put(e.scratch[:deltaRangeHdr])
+			e.put(payload[r.off : int(r.off)+int(r.n)])
+		}
+	} else {
+		e.put(payload)
+	}
+	binary.LittleEndian.PutUint32(e.scratch[:], e.crc)
+	_, err := e.w.Write(e.scratch[:walTrailerSize])
+	return walHeaderSize + plen + walTrailerSize, err
+}
+
+func isZero(p []byte) bool {
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// append frames and buffers one record (payload and ranges as for
+// walEncoder.encode). The record is not durable until sync; callers
+// enforce WAL-before-data ordering. A failed append poisons the log:
+// later appends, commits and checkpoints fail fast on the sticky error
+// rather than risking a silent durability hole (the fsyncgate rule
+// applies to the whole buffered pipeline).
+func (l *wal) append(typ byte, page PageID, payload []byte, ranges []pageRange) error {
 	if l.err != nil {
 		return l.err
 	}
-	rec := encodeWALRecord(typ, page, payload)
-	fireFault("walwrite", func() {
+	tear := func() {
 		// Torn log write: half the record reaches the file, then the
 		// process dies. Replay must discard the fragment.
-		l.w.Flush()
-		l.f.Write(rec[:len(rec)/2])
-	})
-	if err := fireFaultIO("walwrite", "eio", "enospc"); err != nil {
+		l.enc.w.Flush()
+		var rec bytes.Buffer
+		half := walEncoder{w: bufio.NewWriter(&rec)}
+		half.encode(typ, page, payload, ranges)
+		half.w.Flush()
+		l.f.Write(rec.Bytes()[:rec.Len()/2])
+	}
+	fireFault("walwrite", tear)
+	err := fireFaultIO("walwrite", "eio", "enospc")
+	if typ == walPageDelta && err == nil {
+		// The same faults aimed at the middle of a page's delta chain.
+		fireFault("deltawrite", tear)
+		err = fireFaultIO("deltawrite", "eio", "enospc")
+	}
+	if err != nil {
 		l.err = fmt.Errorf("storage: wal append: %w", err)
 		return l.err
 	}
-	if _, err := l.w.Write(rec); err != nil {
+	n, err := l.enc.encode(typ, page, payload, ranges)
+	if err != nil {
 		l.err = fmt.Errorf("storage: wal append: %w", err)
 		return l.err
 	}
-	l.size += int64(len(rec))
+	l.size += int64(n)
 	l.stats.Appends++
-	l.stats.Bytes += uint64(len(rec))
+	l.stats.Bytes += uint64(n)
+	if typ == walPageImage {
+		l.stats.ImageRecords++
+		l.stats.ImageBytes += uint64(n)
+	} else if typ == walPageDelta {
+		l.stats.DeltaRecords++
+		l.stats.DeltaBytes += uint64(n)
+	}
 	obsWALAppends.Inc()
-	obsWALBytes.Add(int64(len(rec)))
+	obsWALBytes.Add(int64(n))
+	obsWALRecords[typ].Inc()
+	obsWALRecordBytes[typ].Add(int64(n))
 	return nil
 }
 
@@ -149,7 +275,7 @@ func (l *wal) appendCommitMark() error {
 	if l.size == l.marked {
 		return nil
 	}
-	if err := l.append(walCommit, 0, nil); err != nil {
+	if err := l.append(walCommit, 0, nil, nil); err != nil {
 		return err
 	}
 	l.marked = l.size
@@ -171,7 +297,7 @@ func (l *wal) sync() error {
 	if !l.dirty() {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.enc.w.Flush(); err != nil {
 		l.err = fmt.Errorf("storage: wal flush: %w", err)
 		return l.err
 	}
@@ -202,7 +328,7 @@ func (l *wal) reset() error {
 	if l.err != nil {
 		return l.err
 	}
-	l.w.Reset(l.f) // discard buffered records; they describe flushed pages
+	l.enc.w.Reset(l.f) // discard buffered records; they describe flushed pages
 	if err := l.f.Truncate(0); err != nil {
 		l.err = fmt.Errorf("storage: wal truncate: %w", err)
 		return l.err
@@ -239,6 +365,28 @@ type walRecord struct {
 	off     int // byte offset of the record within the scanned buffer
 }
 
+// validDelta reports whether payload is a well-formed delta: at least
+// one range, every range non-empty, inside the page and followed by
+// exactly its bytes. The log comes off a disk, so redo trusts nothing
+// scanWAL has not checked.
+func validDelta(payload []byte) bool {
+	if len(payload) == 0 {
+		return false
+	}
+	for len(payload) > 0 {
+		if len(payload) < deltaRangeHdr {
+			return false
+		}
+		off := int(binary.LittleEndian.Uint16(payload[0:]))
+		n := int(binary.LittleEndian.Uint16(payload[2:]))
+		if n == 0 || off+n > PageSize || deltaRangeHdr+n > len(payload) {
+			return false
+		}
+		payload = payload[deltaRangeHdr+n:]
+	}
+	return true
+}
+
 // scanWAL walks the valid record prefix of log bytes, invoking fn per
 // record. It returns the length of the valid prefix and whether the
 // log ended in a torn/corrupt record (expected after a mid-append
@@ -263,7 +411,11 @@ func scanWAL(log []byte, fn func(rec walRecord) error) (valid int64, torn bool, 
 		payload := log[off+walHeaderSize : off+walHeaderSize+plen]
 		switch typ {
 		case walPageImage:
-			if plen != PageSize {
+			if plen != PageSize && plen != 0 {
+				return int64(off), true, nil
+			}
+		case walPageDelta:
+			if !validDelta(payload) {
 				return int64(off), true, nil
 			}
 		case walMeta:
@@ -293,6 +445,8 @@ type RecoveryInfo struct {
 	Ran bool
 	// Records is the number of valid records applied.
 	Records int
+	// Images and Deltas count the page records among them.
+	Images, Deltas int
 	// Bytes is the length of the valid record prefix.
 	Bytes int64
 	// TornTail is true when the log ended in a torn/corrupt record
@@ -301,9 +455,8 @@ type RecoveryInfo struct {
 }
 
 // replayWAL applies the valid prefix of the log at walPath onto data
-// file f: page images are written in order (framed and checksummed)
-// and the last meta record, if any, rewrites the meta page. Torn or
-// corrupt records end the replay — they can only be the unsynced tail.
+// file f (see redo). Torn or corrupt records end the replay — they can
+// only be the unsynced tail.
 //
 // When archiveDir is non-empty the valid prefix is preserved as an
 // archive segment before the log is truncated, so the point-in-time
@@ -338,32 +491,20 @@ func replayWAL(walPath string, f *os.File, archiveDir string, base int64) (Recov
 		genBase, nextBase = base-valid, base
 	}
 
-	var metaSeen bool
-	var numPages, freeHead uint32
+	r := newRedo(f)
 	_, _, err = scanWAL(log, func(rec walRecord) error {
-		switch rec.typ {
-		case walPageImage:
-			if err := writeFrameTo(f, rec.page, rec.payload, uint64(genBase)+uint64(rec.off)); err != nil {
-				return fmt.Errorf("storage: recovery: redo page %d: %w", rec.page, err)
-			}
-		case walMeta:
-			metaSeen = true
-			numPages = binary.LittleEndian.Uint32(rec.payload[0:])
-			freeHead = binary.LittleEndian.Uint32(rec.payload[4:])
-		}
 		info.Records++
-		return nil
+		return r.apply(rec, genBase+int64(rec.off))
 	})
-	if err != nil {
-		return info, base, err
+	if err == nil {
+		err = r.flush()
 	}
+	if err != nil {
+		return info, base, fmt.Errorf("storage: recovery: %w", err)
+	}
+	info.Images, info.Deltas = r.images, r.deltas
 	info.TornTail = torn
 	info.Bytes = valid
-	if metaSeen {
-		if err := writeFrameTo(f, 0, encodeMetaPayload(numPages, freeHead), uint64(genBase)+uint64(valid)); err != nil {
-			return info, base, fmt.Errorf("storage: recovery: redo meta page: %w", err)
-		}
-	}
 	if err := healFramesAfterReplay(f); err != nil {
 		return info, base, err
 	}
@@ -411,15 +552,7 @@ func healFramesAfterReplay(f *os.File) error {
 		if n == DiskFrameSize && verifyFrame(frame[:]) {
 			continue
 		}
-		short := n < DiskFrameSize
-		allZero := true
-		for _, b := range frame[:n] {
-			if b != 0 {
-				allZero = false
-				break
-			}
-		}
-		if short || allZero {
+		if n < DiskFrameSize || isZero(frame[:n]) {
 			if err := writeFrameTo(f, id, zero, 0); err != nil {
 				return fmt.Errorf("storage: recovery: heal page %d: %w", id, err)
 			}

@@ -26,7 +26,7 @@ func crashDisk(d *DiskManager) {
 	defer d.mu.Unlock()
 	d.closed = true
 	if d.wal != nil {
-		d.wal.w.Flush() // records the process wrote (the "OS survived" model)
+		d.wal.enc.w.Flush() // records the process wrote (the "OS survived" model)
 		d.wal.f.Close()
 	}
 	d.f.Close()
