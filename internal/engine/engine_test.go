@@ -18,6 +18,9 @@ var testNatives = isolate.NativeTable{
 	"iso_double": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
 		return types.NewInt(args[0].Int * 2), nil
 	},
+	"iso_len": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+		return types.NewInt(int64(len(args[0].Bytes))), nil
+	},
 	// iso_hang loops forever: only executor supervision can stop it.
 	"iso_hang": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
 		for {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -281,5 +282,59 @@ func TestShowProcesslistSelfOnly(t *testing.T) {
 	}
 	if !strings.Contains(res.Rows[0][9].Str, "PROCESSLIST") {
 		t.Errorf("self row query = %q", res.Rows[0][9].Str)
+	}
+}
+
+// BenchmarkRecordingOverhead is the flight recorder's cost gate: the
+// same scalar-UDF scan runs with per-statement recording on and off,
+// interleaved on,off,off,on statement by statement so drift at any
+// timescale hits both arms equally, and the p50 latency with recording
+// on must stay within 3% of off. CI runs it once:
+//
+//	go test -run '^$' -bench BenchmarkRecordingOverhead -benchtime 1x ./internal/engine
+func BenchmarkRecordingOverhead(b *testing.B) {
+	const (
+		rows  = 256
+		stmts = 3000
+	)
+	e := openBlobs(b, Options{BufferPoolPages: 512}, rows)
+	err := e.RegisterNative("blen", []types.Kind{types.KindBytes}, types.KindInt,
+		func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+			return types.NewInt(int64(len(args[0].Bytes))), nil
+		})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const query = `SELECT blen(ba) FROM blobs`
+	// Recording is the production default; leave it on for whatever
+	// runs next in this process.
+	defer obs.EnableRecording(true)
+
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 16; j++ { // warm the pool and the plan path
+			if _, err := e.Exec(query); err != nil {
+				b.Fatal(err)
+			}
+		}
+		samples := map[bool][]time.Duration{}
+		for j := 0; j < stmts; j++ {
+			on := j%4 == 0 || j%4 == 3
+			obs.EnableRecording(on)
+			start := time.Now()
+			if _, err := e.Exec(query); err != nil {
+				b.Fatal(err)
+			}
+			samples[on] = append(samples[on], time.Since(start))
+		}
+		p50 := func(ds []time.Duration) time.Duration {
+			slices.Sort(ds)
+			return ds[len(ds)/2]
+		}
+		onP50, offP50 := p50(samples[true]), p50(samples[false])
+		ratio := float64(onP50) / float64(offP50)
+		b.ReportMetric(ratio, "p50-on/off")
+		if ratio > 1.03 {
+			b.Fatalf("recording on: p50 %v is %.3fx off's %v, want <= 1.03x", onP50, ratio, offP50)
+		}
 	}
 }

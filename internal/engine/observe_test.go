@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"predator/internal/core"
 	"predator/internal/obs"
@@ -27,6 +29,35 @@ func seedWide(t *testing.T, e *Engine, rows int) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// openBlobs opens an engine for a benchmark with a table
+// blobs (id INT, ba BYTES) of rows tuples carrying 100-byte arrays.
+func openBlobs(b *testing.B, opts Options, rows int) *Engine {
+	b.Helper()
+	e, err := Open(filepath.Join(b.TempDir(), "blobs.db"), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { e.Close() })
+	if _, err := e.Exec(`CREATE TABLE blobs (id INT, ba BYTES)`); err != nil {
+		b.Fatal(err)
+	}
+	tbl, _ := e.Catalog().Table("blobs")
+	payload := make([]byte, 100)
+	for i := range payload {
+		payload[i] = byte(i % 251)
+	}
+	for i := 0; i < rows; i++ {
+		rec, err := types.EncodeRow(nil, tbl.Schema, types.Row{types.NewInt(int64(i)), types.NewBytes(payload)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tbl.Heap().Insert(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return e
 }
 
 func TestExplainEstimates(t *testing.T) {
@@ -211,5 +242,47 @@ func TestUDFInvokeHistogramCounts(t *testing.T) {
 	}
 	if got := h.Count() - before; got != 12 {
 		t.Errorf("histogram recorded %d invocations, want 12", got)
+	}
+}
+
+// BenchmarkBatchSpeedup is the batching gate: 2 000 IC++ invocations
+// over 100-byte arrays must run at least 1.5x the rows/s at a batch
+// cap of 64 that they run at cap 1, one process crossing per row. CI
+// runs it once:
+//
+//	go test -run '^$' -bench BenchmarkBatchSpeedup -benchtime 1x ./internal/engine
+func BenchmarkBatchSpeedup(b *testing.B) {
+	const rows = 2000
+	e := openBlobs(b, Options{BufferPoolPages: 512, Durability: "none"}, rows)
+	if err := e.RegisterNativeIsolated("iso_len", []types.Kind{types.KindBytes}, types.KindInt); err != nil {
+		b.Fatal(err)
+	}
+	defer e.SetUDFBatchRows(0)
+	// rate times the scan at one batch cap, best of three, in rows/s.
+	rate := func(cap int) float64 {
+		e.SetUDFBatchRows(cap)
+		var best time.Duration
+		for k := 0; k < 3; k++ {
+			start := time.Now()
+			res, err := e.Exec(`SELECT iso_len(ba) FROM blobs`)
+			d := time.Since(start)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Rows) != rows || res.Rows[0][0].Int != 100 {
+				b.Fatalf("cap %d: %d rows, first %v", cap, len(res.Rows), res.Rows[0])
+			}
+			if k == 0 || d < best {
+				best = d
+			}
+		}
+		return rows / best.Seconds()
+	}
+	for i := 0; i < b.N; i++ {
+		speedup := rate(64) / rate(1)
+		b.ReportMetric(speedup, "x-cap64-over-cap1")
+		if speedup < 1.5 {
+			b.Fatalf("IC++ at batch cap 64 is %.2fx cap 1, want >= 1.5x", speedup)
+		}
 	}
 }

@@ -1,14 +1,24 @@
 package expr
 
 import (
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"predator/internal/core"
+	"predator/internal/isolate"
 	"predator/internal/jaguar"
 	"predator/internal/jvm"
 	"predator/internal/types"
 )
+
+// TestMain lets this test binary serve as the isolated executor that
+// BenchmarkInlineSpeedup spawns.
+func TestMain(m *testing.M) {
+	isolate.MaybeRunExecutor(nil)
+	os.Exit(m.Run())
+}
 
 // registerJaguar compiles a Jaguar source and registers it as a
 // Design 3 (VM-integrated) UDF; translatable bodies come back from the
@@ -177,4 +187,114 @@ func asTrap(err error, out **jvm.Trap) bool {
 		err = u.Unwrap()
 	}
 	return false
+}
+
+// BenchmarkInlineSpeedup is the inlining gate: the same small Jaguar
+// UDF, evaluated inlined in the expression tree, must run at least 5x
+// the rows/s of per-row VM dispatch and no slower than an isolated
+// executor fed 64-row batches (which keeps its crossings because
+// inlining is disabled on it). The three arms take turns in short
+// slices and each keeps its best slice, so a burst of host noise
+// cannot land on one arm only. CI runs it once:
+//
+//	go test -run '^$' -bench BenchmarkInlineSpeedup -benchtime 1x ./internal/expr
+func BenchmarkInlineSpeedup(b *testing.B) {
+	const (
+		src       = `func gate(v int) int { return (v * 37 + 11) % 101; }`
+		slice     = 50 * time.Millisecond
+		slices    = 6
+		batchRows = 64
+	)
+	want := func(v int64) int64 { return (v*37 + 11) % 101 }
+	intKinds := []types.Kind{types.KindInt}
+	classBytes, err := jaguar.CompileToBytes(src, "Inline")
+	if err != nil {
+		b.Fatal(err)
+	}
+	class, err := jvm.DecodeClass(classBytes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lc, err := jvm.New(jvm.Options{}).NewLoader("bench-inline").LoadClass(class)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vmUDF, err := core.NewVM(core.VMUDFConfig{Name: "gate", Class: lc, Method: "gate", Args: intKinds, Return: types.KindInt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inlined, err := NewUDFCall(vmUDF, []Bound{&Col{Index: 0, K: types.KindInt, Name: "v"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	vmCall, err := NewUDFCallNoInline(vmUDF, []Bound{&Col{Index: 0, K: types.KindInt, Name: "v"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	iso := isolate.WithInlineDisabled(isolate.NewVMIsolated("gate_iso", intKinds, types.KindInt,
+		isolate.VMSetup{ClassBytes: classBytes, Method: "gate"})).(core.BatchUDF)
+	defer iso.Close()
+
+	// scalar drives a per-row Bound for one slice and returns rows/s.
+	scalar := func(bound Bound) float64 {
+		row := types.Row{types.NewInt(0)}
+		var n int64
+		start := time.Now()
+		for time.Since(start) < slice {
+			// An inner block amortizes the clock read.
+			for i := 0; i < 1024; i++ {
+				v := n & 1023
+				row[0] = types.NewInt(v)
+				out, err := bound.Eval(nil, row)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.Int != want(v) {
+					b.Fatalf("gate(%d) = %d, want %d", v, out.Int, want(v))
+				}
+				n++
+			}
+		}
+		return float64(n) / time.Since(start).Seconds()
+	}
+	// batched drives the isolated UDF in batchRows-row crossings for
+	// one slice and returns rows/s.
+	batched := func() float64 {
+		args := make([]types.Value, batchRows)
+		out := make([]core.BatchResult, batchRows)
+		var n int64
+		start := time.Now()
+		for time.Since(start) < slice {
+			for i := range args {
+				args[i] = types.NewInt((n + int64(i)) & 1023)
+			}
+			if err := iso.InvokeBatch(nil, 1, args, out); err != nil {
+				b.Fatal(err)
+			}
+			for i, r := range out {
+				if r.Err != nil || r.Value.Int != want(args[i].Int) {
+					b.Fatalf("batched gate(%d) = %v, %v", args[i].Int, r.Value, r.Err)
+				}
+			}
+			n += batchRows
+		}
+		return float64(n) / time.Since(start).Seconds()
+	}
+
+	for i := 0; i < b.N; i++ {
+		var in, vm, isoRate float64
+		for j := 0; j < slices; j++ {
+			in = max(in, scalar(inlined))
+			vm = max(vm, scalar(vmCall))
+			isoRate = max(isoRate, batched())
+		}
+		b.ReportMetric(in/vm, "x-over-vm")
+		b.ReportMetric(in/isoRate, "x-over-isolated")
+		if in/vm < 5 {
+			b.Fatalf("inlined %.0f rows/s is %.2fx the VM's %.0f, want >= 5x", in, in/vm, vm)
+		}
+		if in < isoRate {
+			b.Fatalf("inlined %.0f rows/s is slower than isolated-batched %.0f", in, isoRate)
+		}
+	}
 }

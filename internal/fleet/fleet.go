@@ -498,8 +498,9 @@ func (f *Fleet) MuxInvoke(ctx *core.Ctx, spec isolate.MuxSpec, args []types.Valu
 	}
 	cInvocations.Inc()
 	out, err := l.s.Invoke(ctx, args)
+	tenant := l.tenant // a parked lease is the next acquirer's to write
 	f.releaseLease(l, err)
-	f.fq.Release(l.tenant)
+	f.fq.Release(tenant)
 	return out, err
 }
 
@@ -512,8 +513,9 @@ func (f *Fleet) MuxInvokeBatch(ctx *core.Ctx, spec isolate.MuxSpec, arity int, a
 	}
 	cInvocations.Inc()
 	err = l.s.InvokeBatch(ctx, arity, args, out)
+	tenant := l.tenant
 	f.releaseLease(l, err)
-	f.fq.Release(l.tenant)
+	f.fq.Release(tenant)
 	return err
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -25,9 +26,13 @@ var testNatives = isolate.NativeTable{
 		time.Sleep(2 * time.Millisecond)
 		return types.NewInt(args[0].Int * 2), nil
 	},
-	"boom": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
-		os.Exit(3)
-		return types.Value{}, nil
+	// flagcrash kills its executor while the named flag file exists and
+	// succeeds otherwise: a UDF that recovers.
+	"flagcrash": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+		if _, err := os.Stat(args[0].Str); err == nil {
+			os.Exit(3)
+		}
+		return types.NewInt(1), nil
 	},
 	// burncpu busy-spins for args[0] milliseconds, so the executor's
 	// rusage CPU tracks wall time closely — the load for the child-CPU
@@ -280,26 +285,33 @@ func TestFleetChaosCrashIsolation(t *testing.T) {
 
 // TestFleetQuarantineDemotion: a UDF that keeps crashing fleet
 // processes trips its breaker and is demoted to a dedicated executor,
-// leaving the shared fleet alone.
+// leaving the shared fleet alone. Once it recovers and the breaker
+// cools down, it answers again — from its own executor, not the fleet.
 func TestFleetQuarantineDemotion(t *testing.T) {
+	flag := filepath.Join(t.TempDir(), "crashflag")
+	if err := os.WriteFile(flag, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	sup := isolate.DefaultSupervision
 	sup.BreakerFailures = 2
-	sup.BreakerCooldown = time.Hour // keep it open for the test
+	sup.BreakerCooldown = 200 * time.Millisecond
 	f := newFleetT(t, Options{Size: 1, Supervision: sup})
 	u := isolate.WithFleet(isolate.WithSupervision(
-		isolate.NewNativeIsolated("boom", []types.Kind{types.KindInt}, types.KindInt), sup), f)
+		isolate.NewNativeIsolated("flagcrash", []types.Kind{types.KindString}, types.KindInt), sup), f)
 	defer u.Close()
 	st, ok := u.(interface {
 		BreakerStatus() (govern.BreakerStatus, bool)
+		OnFleet() bool
 	})
 	if !ok {
 		t.Fatal("fleet UDF does not expose breaker status")
 	}
+	args := []types.Value{types.NewString(flag)}
 	quarantined := false
 	for i := 0; i < 100 && !quarantined; i++ {
-		_, err := u.Invoke(nil, []types.Value{types.NewInt(1)})
+		_, err := u.Invoke(nil, args)
 		if err == nil {
-			t.Fatal("boom succeeded")
+			t.Fatal("flagcrash succeeded while its flag exists")
 		}
 		_, quarantined = st.BreakerStatus()
 		time.Sleep(20 * time.Millisecond)
@@ -310,6 +322,25 @@ func TestFleetQuarantineDemotion(t *testing.T) {
 	}
 	if status.Opens == 0 {
 		t.Errorf("quarantined with zero breaker opens: %+v", status)
+	}
+	if st.OnFleet() {
+		t.Fatal("quarantined UDF still rides the fleet")
+	}
+
+	// Recovered and past the cooldown, it runs again on a dedicated
+	// executor; the fleet sees none of its crossings.
+	os.Remove(flag)
+	time.Sleep(sup.BreakerCooldown + 50*time.Millisecond)
+	fleetCalls := obs.Default.Counter("predator_fleet_invocations_total")
+	before := fleetCalls.Value()
+	if out, err := u.Invoke(nil, args); err != nil || out.Int != 1 {
+		t.Fatalf("quarantined invoke after cooldown = %v, %v", out, err)
+	}
+	if got := fleetCalls.Value() - before; got != 0 {
+		t.Errorf("quarantined UDF made %d fleet crossings, want 0", got)
+	}
+	if st.OnFleet() {
+		t.Error("recovered UDF returned to the fleet")
 	}
 }
 

@@ -4,8 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,38 +104,35 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	}
 }
 
+// TestBreakerQuarantineLeavesPool checks that a UDF whose crash loop
+// opens its breaker while on the shared executor pool (a fleet) is
+// quarantined off it: after the cooldown it answers from a dedicated
+// executor of its own and never crosses the shared transport again.
 func TestBreakerQuarantineLeavesPool(t *testing.T) {
-	flag := filepath.Join(t.TempDir(), "crashflag")
-	if err := os.WriteFile(flag, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(2)
-	defer p.Close()
-	u := WithPool(WithSupervision(NewNativeIsolated("flagcrash", []types.Kind{types.KindString}, types.KindInt),
-		breakerSup(2, 30*time.Millisecond)), p)
+	var m lostMux
+	u := WithFleet(WithSupervision(NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt),
+		breakerSup(2, 30*time.Millisecond)), &m)
+	defer u.Close()
 	iu := u.(*udf)
-	args := []types.Value{types.NewString(flag)}
+	args := []types.Value{types.NewBytes([]byte{1, 2})}
 	for i := 0; i < 2; i++ {
 		if _, err := u.Invoke(nil, args); err == nil {
-			t.Fatalf("crash %d reported success", i)
+			t.Fatalf("lost crossing %d reported success", i)
 		}
 	}
 	st, quarantined := iu.BreakerStatus()
 	if st.State != "open" || !quarantined {
 		t.Fatalf("after crash loop: state %+v, quarantined %v", st, quarantined)
 	}
-	if iu.usePool() {
-		t.Fatal("quarantined UDF still borrowing from the pool")
+	if iu.OnFleet() {
+		t.Fatal("quarantined UDF still on the shared pool")
 	}
-	// Recovered and past the cooldown, it runs again — but on its own
-	// dedicated executor, never back in the shared pool.
-	os.Remove(flag)
 	time.Sleep(40 * time.Millisecond)
-	if out, err := u.Invoke(nil, args); err != nil || out.Int != 1 {
+	if out, err := u.Invoke(nil, args); err != nil || out.Int != 3 {
 		t.Fatalf("quarantined invoke: %v, %v", out, err)
 	}
-	if p.Live() != 0 {
-		t.Fatalf("quarantined UDF left %d executors in the pool", p.Live())
+	if n := m.n.Load(); n != 2 {
+		t.Fatalf("shared pool saw %d crossings, want the 2 before quarantine", n)
 	}
 	iu.mu.Lock()
 	own := iu.exec
@@ -146,98 +142,15 @@ func TestBreakerQuarantineLeavesPool(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentChaos hammers checkout/evict/close from many
-// goroutines — including executors dying while lent out — and is the
-// regression test for pool lifecycle races (run under -race in CI).
-func TestPoolConcurrentChaos(t *testing.T) {
-	sup := Supervision{BreakerFailures: -1, MaxRestarts: 0, RestartBackoff: time.Millisecond}
-	p := NewPoolWith(2, 4, sup)
-	healthy := WithPool(WithSupervision(
-		NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt), sup), p)
-	dying := WithPool(WithSupervision(
-		NewNativeIsolated("crash", nil, types.KindInt), sup), p)
+// lostMux is a Multiplexer stub whose every crossing loses its
+// executor; it counts the crossings it is offered.
+type lostMux struct{ n atomic.Int64 }
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arg := []types.Value{types.NewBytes([]byte{1, 2})}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				out, err := healthy.Invoke(nil, arg)
-				if err != nil {
-					if strings.Contains(err.Error(), "pool is closed") {
-						return
-					}
-					t.Errorf("healthy UDF failed: %v", err)
-					return
-				}
-				if out.Int != 3 {
-					t.Errorf("healthy UDF returned %d", out.Int)
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Every call kills its executor while lent out.
-				if _, err := dying.Invoke(nil, nil); err == nil {
-					t.Error("crash UDF reported success")
-					return
-				} else if strings.Contains(err.Error(), "pool is closed") {
-					return
-				}
-			}
-		}()
-	}
-	time.Sleep(400 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	p.Close()
-	if p.Live() != 0 {
-		t.Fatalf("pool leaked %d executors", p.Live())
-	}
-
-	// Close racing in-flight work: restart traffic and close mid-way.
-	p2 := NewPoolWith(1, 2, sup)
-	h2 := WithPool(WithSupervision(
-		NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt), sup), p2)
-	var wg2 sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg2.Add(1)
-		go func() {
-			defer wg2.Done()
-			arg := []types.Value{types.NewBytes([]byte{3})}
-			for j := 0; j < 50; j++ {
-				if _, err := h2.Invoke(nil, arg); err != nil {
-					if strings.Contains(err.Error(), "pool is closed") {
-						return
-					}
-					t.Errorf("invoke vs close: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	time.Sleep(50 * time.Millisecond)
-	p2.Close()
-	wg2.Wait()
-	if p2.Live() != 0 {
-		t.Fatalf("pool leaked %d executors across Close", p2.Live())
-	}
+func (m *lostMux) MuxInvoke(*core.Ctx, MuxSpec, []types.Value) (types.Value, error) {
+	m.n.Add(1)
+	return types.Value{}, core.Faultf(core.FaultExecutorLost, "invoke", "stub")
+}
+func (m *lostMux) MuxInvokeBatch(*core.Ctx, MuxSpec, int, []types.Value, []core.BatchResult) error {
+	m.n.Add(1)
+	return core.Faultf(core.FaultExecutorLost, "invoke", "stub")
 }

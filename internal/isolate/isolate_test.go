@@ -241,26 +241,6 @@ func TestVMIsolatedRejectsCorruptClass(t *testing.T) {
 	}
 }
 
-func TestExecutorPoolReuse(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	u := WithPool(NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt), p)
-	defer u.Close()
-	for i := 0; i < 6; i++ {
-		out, err := u.Invoke(nil, []types.Value{types.NewBytes([]byte{2, 2})})
-		if err != nil || out.Int != 4 {
-			t.Fatalf("iter %d: %v, %v", i, out, err)
-		}
-	}
-	// The pool should now hold at most 2 idle executors for "sumbytes".
-	p.mu.Lock()
-	n := len(p.idle["sumbytes"])
-	p.mu.Unlock()
-	if n < 1 || n > 2 {
-		t.Errorf("idle executors = %d, want 1..2", n)
-	}
-}
-
 func TestRunExecutorOverSyntheticPipes(t *testing.T) {
 	// Drive the child loop in-process: parent end <-> child end.
 	parentR, childW, err := os.Pipe()

@@ -2,6 +2,7 @@ package isolate
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,51 +227,56 @@ func TestMuxPing(t *testing.T) {
 }
 
 // TestLateAttachRefused is the regression test for the enforced
-// "must be called before the first Invoke" contract on WithPool,
-// WithSupervision and WithFleet.
+// "must be called before the first Invoke" contract on WithSupervision
+// and WithFleet.
 func TestLateAttachRefused(t *testing.T) {
 	u := NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt)
 	defer u.Close()
 	if _, err := u.Invoke(nil, []types.Value{types.NewBytes([]byte{1})}); err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(1)
-	defer p.Close()
-	WithPool(u, p)
 	tightened := DefaultSupervision
 	tightened.InvokeTimeout = time.Nanosecond
 	WithSupervision(u, tightened)
 	WithFleet(u, failingMux{})
 	iu := u.(*udf)
-	if iu.pool != nil || iu.mux != nil {
-		t.Fatal("late WithPool/WithFleet reconfigured a started UDF")
+	if iu.mux != nil {
+		t.Fatal("late WithFleet reconfigured a started UDF")
 	}
 	if iu.sup.InvokeTimeout == time.Nanosecond {
 		t.Fatal("late WithSupervision reconfigured a started UDF")
 	}
-	// The UDF must still work on its original dedicated executor, and
-	// the refused pool must never see traffic.
+	// The UDF must still work on its original dedicated executor; the
+	// refused fleet would fail every crossing.
 	if out, err := u.Invoke(nil, []types.Value{types.NewBytes([]byte{2, 3})}); err != nil || out.Int != 5 {
 		t.Fatalf("invoke after refused reconfig = %v, %v", out, err)
-	}
-	if p.Live() != 0 {
-		t.Errorf("refused pool has %d live executors", p.Live())
 	}
 }
 
 // TestEarlyAttachStillWorks pins the contract's other half: attach
 // before the first Invoke keeps working.
 func TestEarlyAttachStillWorks(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	u := WithPool(NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt), p)
+	var m countingMux
+	u := WithFleet(NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt), &m)
 	defer u.Close()
-	if out, err := u.Invoke(nil, []types.Value{types.NewBytes([]byte{4, 4})}); err != nil || out.Int != 8 {
-		t.Fatalf("pooled invoke = %v, %v", out, err)
+	if out, err := u.Invoke(nil, []types.Value{types.NewBytes([]byte{4, 4})}); err != nil || out.Int != 42 {
+		t.Fatalf("fleet invoke = %v, %v", out, err)
 	}
-	if p.Live() != 1 {
-		t.Errorf("pool live = %d, want 1", p.Live())
+	if n := m.n.Load(); n != 1 {
+		t.Errorf("fleet saw %d crossings, want 1", n)
 	}
+}
+
+// countingMux is a Multiplexer stub that answers 42 and counts calls.
+type countingMux struct{ n atomic.Int64 }
+
+func (m *countingMux) MuxInvoke(*core.Ctx, MuxSpec, []types.Value) (types.Value, error) {
+	m.n.Add(1)
+	return types.NewInt(42), nil
+}
+func (m *countingMux) MuxInvokeBatch(*core.Ctx, MuxSpec, int, []types.Value, []core.BatchResult) error {
+	m.n.Add(1)
+	return core.Faultf(core.FaultExecutorLost, "invoke", "stub")
 }
 
 // failingMux is a Multiplexer stub for the late-attach test.

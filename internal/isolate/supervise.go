@@ -80,14 +80,13 @@ func (s Supervision) withDefaults() Supervision {
 }
 
 // Stats are cumulative supervision counters for the whole process,
-// exposed for the bench harness and operational visibility.
+// exposed for tests and operational visibility.
 type Stats struct {
 	Starts      int64 // executor processes launched
 	Invocations int64 // Invoke calls entered
 	Timeouts    int64 // deadline expiries that killed an executor
 	Kills       int64 // SIGKILLs delivered (timeouts, protocol faults, impolite shutdowns)
 	Restarts    int64 // start/setup retry attempts
-	Evictions   int64 // dead idle executors evicted by pool health checks
 }
 
 // The supervision counters live in the process-wide obs registry
@@ -98,8 +97,6 @@ var (
 	cTimeouts    = obs.Default.Counter("predator_isolate_timeouts_total")
 	cKills       = obs.Default.Counter("predator_isolate_kills_total")
 	cRestarts    = obs.Default.Counter("predator_isolate_restarts_total")
-	cEvictions   = obs.Default.Counter("predator_isolate_pool_evictions_total")
-	cPoolLends   = obs.Default.Counter("predator_isolate_pool_lends_total")
 	cExecutorCPU = obs.Default.Counter("predator_isolate_executor_cpu_ns_total")
 )
 
@@ -123,7 +120,6 @@ func ReadStats() Stats {
 		Timeouts:    cTimeouts.Value(),
 		Kills:       cKills.Value(),
 		Restarts:    cRestarts.Value(),
-		Evictions:   cEvictions.Value(),
 	}
 }
 

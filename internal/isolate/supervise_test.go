@@ -212,90 +212,6 @@ func TestCloseEscalatesToKill(t *testing.T) {
 	}
 }
 
-func TestPoolEvictsDeadIdleExecutors(t *testing.T) {
-	p := NewPoolWith(2, 0, fastSup)
-	defer p.Close()
-	u := WithPool(NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt), p).(*udf)
-	if _, err := u.Invoke(nil, sumArgs()); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the idle executor's process behind the pool's back.
-	p.mu.Lock()
-	if len(p.idle["sumbytes"]) != 1 {
-		p.mu.Unlock()
-		t.Fatalf("idle = %d, want 1", len(p.idle["sumbytes"]))
-	}
-	idlePID := p.idle["sumbytes"][0].PID()
-	p.mu.Unlock()
-	syscall.Kill(idlePID, syscall.SIGKILL)
-	time.Sleep(50 * time.Millisecond)
-
-	before := ReadStats().Evictions
-	out, err := u.Invoke(nil, sumArgs())
-	if err != nil || out.Int != 3 {
-		t.Fatalf("invoke after idle death = %v, %v", out, err)
-	}
-	if got := ReadStats().Evictions - before; got != 1 {
-		t.Errorf("evictions = %d, want 1", got)
-	}
-}
-
-func TestPoolClosedRejectsGetAndReapsLatePuts(t *testing.T) {
-	p := NewPoolWith(2, 0, fastSup)
-	u := WithPool(NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt), p).(*udf)
-	e, err := p.Get(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pid := e.PID()
-	p.Close()
-	if _, err := p.Get(u); err == nil || !strings.Contains(err.Error(), "closed") {
-		t.Errorf("Get on closed pool = %v, want closed error", err)
-	}
-	// A late Put must close the executor, not stash it.
-	p.Put(u, e, nil)
-	if !reaped(pid) {
-		t.Errorf("executor %d survived Put into a closed pool", pid)
-	}
-	if n := p.Live(); n != 0 {
-		t.Errorf("live = %d after close + late put, want 0", n)
-	}
-}
-
-func TestPoolCapsLiveExecutors(t *testing.T) {
-	p := NewPoolWith(1, 1, fastSup)
-	defer p.Close()
-	u := WithPool(NewNativeIsolated("sumbytes", []types.Kind{types.KindBytes}, types.KindInt), p).(*udf)
-	e, err := p.Get(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second Get must block until the first executor is returned.
-	got := make(chan *Executor, 1)
-	go func() {
-		e2, err := p.Get(u)
-		if err != nil {
-			t.Error(err)
-		}
-		got <- e2
-	}()
-	select {
-	case <-got:
-		t.Fatal("Get exceeded the live-executor cap")
-	case <-time.After(150 * time.Millisecond):
-	}
-	p.Put(u, e, nil)
-	select {
-	case e2 := <-got:
-		p.Put(u, e2, nil)
-	case <-time.After(5 * time.Second):
-		t.Fatal("capped Get never woke after Put")
-	}
-	if n := p.Live(); n > 1 {
-		t.Errorf("live = %d, cap was 1", n)
-	}
-}
-
 func TestPingHealthCheck(t *testing.T) {
 	e, err := StartExecutorWith(fastSup)
 	if err != nil {

@@ -41,19 +41,18 @@ type udf struct {
 
 	mu   sync.Mutex
 	exec *Executor
-	pool *Pool        // optional shared pool; nil = own executor
-	mux  Multiplexer  // optional shared executor fleet; nil = pool or own
+	mux  Multiplexer  // optional shared executor fleet; nil = own executor
 	tok  atomic.Value // cached setup fingerprint (string)
 
 	// started latches on the first Invoke: from then on the execution
-	// topology (pool, fleet, supervision) is frozen and late attach
+	// topology (fleet, supervision) is frozen and late attach
 	// calls are refused — silently reconfiguring a UDF that already has
 	// live executors would strand them.
 	started atomic.Bool
 
 	// brk is the per-UDF circuit breaker (created lazily so it sees the
 	// final supervision config). quarantined flips when the breaker of a
-	// pooled or fleet-shared UDF opens: from then on the UDF runs on its
+	// fleet-shared UDF opens: from then on the UDF runs on its
 	// own dedicated executor and never touches shared processes again,
 	// so a crash-looping UDF cannot poison healthy tenants' executors.
 	brk         *govern.Breaker
@@ -144,18 +143,6 @@ func (u *udf) lateAttach(what string) bool {
 	return true
 }
 
-// WithPool makes the UDF borrow executors from a shared pool instead
-// of owning one (the executor-reuse ablation). Must be called before
-// the first Invoke; later calls are ignored with an error log.
-func WithPool(u core.UDF, p *Pool) core.UDF {
-	iu, ok := u.(*udf)
-	if !ok || iu.lateAttach("WithPool") {
-		return u
-	}
-	iu.pool = p
-	return iu
-}
-
 // WithSupervision overrides the UDF's supervision policy (deadlines,
 // restart budget). Must be called before the first Invoke; later calls
 // are ignored with an error log.
@@ -172,7 +159,7 @@ func WithSupervision(u core.UDF, sup Supervision) core.UDF {
 // executor fleet instead of a dedicated process. Must be called before
 // the first Invoke; later calls are ignored with an error log. A
 // quarantined UDF (breaker opened on fatal faults) leaves the fleet
-// for a dedicated executor, exactly as pooled UDFs do.
+// for a dedicated executor.
 func WithFleet(u core.UDF, m Multiplexer) core.UDF {
 	iu, ok := u.(*udf)
 	if !ok || iu.lateAttach("WithFleet") {
@@ -260,9 +247,9 @@ func (u *udf) BreakerStatus() (govern.BreakerStatus, bool) {
 // ledger; the wall-clock remainder — marshaling, pipe transit,
 // scheduling, and crossings whose frames carry no CPU tail — is
 // charged as parent-side occupancy, so the window total stays the
-// crossing's wall time without double-counting. A fatal fault on a
-// pooled UDF quarantines it: its next crossing binds a dedicated
-// executor.
+// crossing's wall time without double-counting. A fatal fault that
+// opens the breaker of a fleet UDF quarantines it: its next crossing
+// binds a dedicated executor.
 func (u *udf) record(b *govern.Breaker, ctx *core.Ctx, start time.Time, err error) {
 	if ctx != nil {
 		wall := time.Since(start)
@@ -282,19 +269,13 @@ func (u *udf) record(b *govern.Breaker, ctx *core.Ctx, start time.Time, err erro
 		fatal = true
 	}
 	b.Record(fatal)
-	if fatal && (u.pool != nil || u.mux != nil) && !u.quarantined.Load() && b.Status().State == "open" {
+	if fatal && u.mux != nil && !u.quarantined.Load() && b.Status().State == "open" {
 		u.quarantined.Store(true)
 	}
 }
 
-// usePool reports whether this crossing should borrow from the shared
-// pool (quarantined UDFs are permanently demoted to a dedicated one).
-func (u *udf) usePool() bool {
-	return u.pool != nil && !u.quarantined.Load()
-}
-
 // useMux reports whether this crossing should ride the shared fleet
-// (the fleet wins over a pool; quarantined UDFs use neither).
+// (quarantined UDFs never do).
 func (u *udf) useMux() bool {
 	return u.mux != nil && !u.quarantined.Load()
 }
@@ -323,19 +304,6 @@ func (u *udf) Invoke(ctx *core.Ctx, args []types.Value) (types.Value, error) {
 	start := time.Now()
 	if u.useMux() {
 		out, err := u.mux.MuxInvoke(ctx, u.muxSpec(), args)
-		countFault(err)
-		u.record(b, ctx, start, err)
-		return out, err
-	}
-	if u.usePool() {
-		e, err := u.pool.Get(u)
-		if err != nil {
-			countFault(err)
-			u.record(b, ctx, start, err)
-			return types.Value{}, err
-		}
-		out, err := e.Invoke(ctx, args)
-		u.pool.Put(u, e, err)
 		countFault(err)
 		u.record(b, ctx, start, err)
 		return out, err
@@ -412,19 +380,6 @@ func (u *udf) InvokeBatch(ctx *core.Ctx, arity int, args []types.Value, out []co
 		u.record(b, ctx, start, err)
 		return err
 	}
-	if u.usePool() {
-		e, err := u.pool.Get(u)
-		if err != nil {
-			countFault(err)
-			u.record(b, ctx, start, err)
-			return err
-		}
-		err = e.InvokeBatch(ctx, arity, args, out)
-		u.pool.Put(u, e, err)
-		countFault(err)
-		u.record(b, ctx, start, err)
-		return err
-	}
 	e, err := u.executor()
 	if err != nil {
 		countFault(err)
@@ -447,148 +402,6 @@ func (u *udf) Close() error {
 	u.mu.Unlock()
 	if e != nil {
 		return e.Close()
-	}
-	return nil
-}
-
-// Pool is a shared pool of pre-started executors keyed by UDF, used by
-// the executor-reuse ablation (the paper notes executors "could be
-// assigned from a pre-allocated pool"). The pool health-checks idle
-// executors before lending them out, evicts dead ones, and can cap the
-// total number of live executor processes.
-type Pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	idle    map[string][]*Executor
-	limit   int // idle executors kept per UDF
-	maxLive int // cap on total live executors (0 = unlimited)
-	live    int // executors currently alive (idle + lent out)
-	closed  bool
-	sup     Supervision
-}
-
-// NewPool creates a pool keeping up to perUDF idle executors per UDF,
-// with no cap on total live executors and default supervision.
-func NewPool(perUDF int) *Pool {
-	return NewPoolWith(perUDF, 0, DefaultSupervision)
-}
-
-// NewPoolWith creates a pool keeping up to perUDF idle executors per
-// UDF and at most maxLive live executor processes in total (0 = no
-// cap); Get blocks while the cap is reached.
-func NewPoolWith(perUDF, maxLive int, sup Supervision) *Pool {
-	if perUDF < 1 {
-		perUDF = 1
-	}
-	p := &Pool{
-		idle:    make(map[string][]*Executor),
-		limit:   perUDF,
-		maxLive: maxLive,
-		sup:     sup.withDefaults(),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// Get borrows (or starts and binds) an executor for the UDF. Idle
-// executors are health-checked before being lent out; dead ones are
-// evicted and replaced.
-func (p *Pool) Get(u *udf) (*Executor, error) {
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("isolate: pool is closed")
-		}
-		if list := p.idle[u.name]; len(list) > 0 {
-			e := list[len(list)-1]
-			p.idle[u.name] = list[:len(list)-1]
-			p.mu.Unlock()
-			// Verify the executor survived idling: process alive and
-			// protocol loop answering. Evict and retry otherwise.
-			if e.Alive() && e.Ping(p.sup.PingTimeout) == nil {
-				cPoolLends.Inc()
-				return e, nil
-			}
-			cEvictions.Inc()
-			p.release(e)
-			continue
-		}
-		// Nothing idle: start a fresh executor, respecting the cap.
-		// After a wakeup, re-run the whole loop — the freed capacity
-		// may have arrived as an idle executor for this UDF.
-		if p.maxLive > 0 && p.live >= p.maxLive {
-			p.cond.Wait()
-			p.mu.Unlock()
-			continue
-		}
-		p.live++
-		p.mu.Unlock()
-		e, err := startSupervised(p.sup, u.setup)
-		if err != nil {
-			p.mu.Lock()
-			p.live--
-			p.cond.Broadcast()
-			p.mu.Unlock()
-			return nil, err
-		}
-		cPoolLends.Inc()
-		return e, nil
-	}
-}
-
-// Put returns an executor to the pool. Executors that faulted, broke,
-// or exceed the idle limit are closed; a closed pool closes everything
-// handed back so late returns never leak processes.
-func (p *Pool) Put(u *udf, e *Executor, invokeErr error) {
-	fatal := invokeErr != nil && core.FaultClassOf(invokeErr) != core.FaultUDF
-	if fatal || !e.Alive() {
-		p.release(e)
-		return
-	}
-	p.mu.Lock()
-	if !p.closed && len(p.idle[u.name]) < p.limit {
-		p.idle[u.name] = append(p.idle[u.name], e)
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	p.release(e)
-}
-
-// release closes an executor and gives its live slot back.
-func (p *Pool) release(e *Executor) {
-	e.Close()
-	p.mu.Lock()
-	p.live--
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// Live reports the number of live executors (idle + lent out).
-func (p *Pool) Live() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.live
-}
-
-// Close marks the pool closed and shuts down all idle executors.
-// Subsequent Get fails and subsequent Put closes the executor, so no
-// process outlives the pool.
-func (p *Pool) Close() error {
-	p.mu.Lock()
-	p.closed = true
-	var all []*Executor
-	for k, list := range p.idle {
-		all = append(all, list...)
-		delete(p.idle, k)
-	}
-	p.live -= len(all)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	for _, e := range all {
-		e.Close()
 	}
 	return nil
 }

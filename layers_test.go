@@ -1,0 +1,148 @@
+package predator
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// layerImports is the module's import allow-list: for every package
+// (by directory), the module packages its non-test files may import.
+// The stack, bottom up: types, obs → storage, jvm, sql, wire, govern →
+// core → expr, isolate → fleet, exec → plan → engine → server, and the
+// public package over them. A new edge, or a new package, fails
+// TestLayerImports until it is added here on purpose; so does an
+// import of a package that was deleted, such as the old evaluation
+// harness, since nothing lists it.
+var layerImports = map[string][]string{
+	"internal/types":   nil,
+	"internal/obs":     nil,
+	"internal/storage": {"internal/obs"},
+	"internal/jvm":     {"internal/types"},
+	"internal/inline":  {"internal/jvm"},
+	"internal/jaguar":  {"internal/jvm"},
+	"internal/govern":  {"internal/obs"},
+	"internal/sql":     {"internal/types"},
+	"internal/wire":    {"internal/obs", "internal/types"},
+	"internal/catalog": {"internal/storage", "internal/types"},
+	"internal/core":    {"internal/types"},
+	"internal/expr":    {"internal/core", "internal/obs", "internal/types"},
+	"internal/isolate": {"internal/core", "internal/govern", "internal/jvm", "internal/obs", "internal/types"},
+	"internal/fleet":   {"internal/core", "internal/govern", "internal/isolate", "internal/obs", "internal/types"},
+	"internal/exec":    {"internal/core", "internal/expr", "internal/obs", "internal/storage", "internal/types"},
+	"internal/plan":    {"internal/catalog", "internal/core", "internal/exec", "internal/expr", "internal/sql", "internal/types"},
+	"internal/engine": {"internal/catalog", "internal/core", "internal/exec", "internal/expr", "internal/fleet",
+		"internal/govern", "internal/isolate", "internal/jaguar", "internal/jvm", "internal/obs", "internal/plan",
+		"internal/sql", "internal/storage", "internal/types"},
+	"internal/server": {"internal/core", "internal/engine", "internal/govern", "internal/obs", "internal/types", "internal/wire"},
+	"internal/client": {"internal/jaguar", "internal/jvm", "internal/types", "internal/wire"},
+	".": {"internal/client", "internal/core", "internal/engine", "internal/govern", "internal/isolate",
+		"internal/jaguar", "internal/jvm", "internal/obs", "internal/server", "internal/storage", "internal/types"},
+	"benchmark": {".", "internal/core", "internal/exec", "internal/expr", "internal/plan", "internal/sql",
+		"internal/storage", "internal/types", "internal/wire"},
+	"cmd/jagc":               {"internal/jaguar", "internal/jvm"},
+	"cmd/predator":           {".", "internal/types"},
+	"cmd/predator-restore":   {"internal/storage"},
+	"cmd/predator-server":    {"."},
+	"cmd/udf-executor":       {"internal/isolate"},
+	"examples/migration":     {"."},
+	"examples/quickstart":    {"."},
+	"examples/stockscreener": {"."},
+	"examples/sunsets":       {"."},
+}
+
+// crossLayer names the imports that break the layering today. Each is
+// allowed until it is removed; an entry that no file needs any more
+// fails the test, so the list only shrinks.
+var crossLayer = map[string][]string{
+	// The VM design's constructor and the UDF context live in core, so
+	// it reaches up into the VM, the IR, the tenant governor and the
+	// crossing counters.
+	"internal/core": {"internal/govern", "internal/inline", "internal/jvm", "internal/obs"},
+	// The binder walks the parser's AST, inlined calls run the IR over
+	// VM values, and evaluation charges the statement's memory
+	// reservation.
+	"internal/expr": {"internal/govern", "internal/inline", "internal/jvm", "internal/sql"},
+	// Isolated UDFs are translated parent-side so they can inline.
+	"internal/isolate": {"internal/inline"},
+}
+
+const module = "predator"
+
+// moduleImports parses every non-test Go file in the module and
+// returns, per package directory, the module packages it imports.
+func moduleImports(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs := map[string]map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				name == "testdata" || path == filepath.Join("benchmark", "out")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if pkgs[dir] == nil {
+			pkgs[dir] = map[string]bool{}
+		}
+		for _, spec := range f.Imports {
+			imp, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return err
+			}
+			if imp == module {
+				pkgs[dir]["."] = true
+			} else if rel, ok := strings.CutPrefix(imp, module+"/"); ok {
+				pkgs[dir][rel] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// TestLayerImports checks every package's imports against the layer
+// allow-list plus the named cross-layer exceptions.
+func TestLayerImports(t *testing.T) {
+	pkgs := moduleImports(t)
+	for dir, imports := range pkgs {
+		allowed, ok := layerImports[dir]
+		if !ok {
+			t.Errorf("package %s has no entry in layerImports", dir)
+			continue
+		}
+		for imp := range imports {
+			if !slices.Contains(allowed, imp) && !slices.Contains(crossLayer[dir], imp) {
+				t.Errorf("%s imports %s/%s, which its layer does not allow", dir, module, imp)
+			}
+		}
+	}
+	for dir, edges := range crossLayer {
+		for _, imp := range edges {
+			if !pkgs[dir][imp] {
+				t.Errorf("cross-layer exception %s -> %s is no longer needed; delete it", dir, imp)
+			}
+		}
+	}
+}

@@ -117,7 +117,7 @@ func Retryable(err error) bool { return core.Retryable(err) }
 func IsTimeout(err error) bool { return core.IsTimeout(err) }
 
 // ReadExecutorStats snapshots the supervision counters (executor
-// starts, invocations, timeouts, kills, restarts, evictions).
+// starts, invocations, timeouts, kills, restarts).
 func ReadExecutorStats() ExecutorStats { return isolate.ReadStats() }
 
 // MetricsHandler serves the process-wide metrics registry in Prometheus

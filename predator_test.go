@@ -8,7 +8,7 @@ import (
 )
 
 // The public-API surface, exercised the way an embedding program would
-// use it. (TestMain lives in bench_test.go.)
+// use it.
 
 func openDB(t *testing.T, opts ...Option) *DB {
 	t.Helper()
