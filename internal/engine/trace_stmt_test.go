@@ -149,38 +149,44 @@ func TestShowStatementsAggregatesFingerprint(t *testing.T) {
 	e := openEngine(t)
 	mustExec(t, e, `CREATE TABLE stmtagg (id INT, v INT)`)
 	mustExec(t, e, `INSERT INTO stmtagg VALUES (1, 10), (2, 20), (3, 30)`)
+	// SHOW STATEMENTS reads a process-wide store, so an earlier run in
+	// the same process may already have counted this fingerprint:
+	// compare this run's change.
+	want := "SELECT v FROM stmtagg WHERE id < ?"
+	calls0, rows0, _ := statementRow(t, e, want)
 	// Two executions differing only in the literal must land in one
 	// SHOW STATEMENTS row.
 	mustExec(t, e, `SELECT v FROM stmtagg WHERE id < 2`)
 	mustExec(t, e, `SELECT v FROM stmtagg WHERE id < 3000`)
 
+	calls, rows, found := statementRow(t, e, want)
+	if !found {
+		t.Fatalf("fingerprint %q not in SHOW STATEMENTS", want)
+	}
+	if calls-calls0 != 2 {
+		t.Errorf("calls grew by %d, want 2", calls-calls0)
+	}
+	// Rows column: 1 row (id<2) + 3 rows (id<3000).
+	if rows-rows0 != 4 {
+		t.Errorf("rows grew by %d, want 4", rows-rows0)
+	}
+}
+
+// statementRow reads one fingerprint's calls and rows from SHOW
+// STATEMENTS (zeros when it is not listed yet).
+func statementRow(t *testing.T, e *Engine, fingerprint string) (calls, rows int64, found bool) {
+	t.Helper()
 	res := mustExec(t, e, `SHOW STATEMENTS`)
 	cols := res.Schema.Columns
-	if cols[0].Name != "fingerprint" || cols[1].Name != "calls" {
+	if cols[0].Name != "fingerprint" || cols[1].Name != "calls" || cols[6].Name != "rows" {
 		t.Fatalf("schema: %v", cols)
 	}
-	want := "SELECT v FROM stmtagg WHERE id < ?"
-	var found bool
 	for _, r := range res.Rows {
-		if r[0].Str != want {
-			continue
-		}
-		found = true
-		if r[1].Int != 2 {
-			t.Errorf("calls = %d, want 2", r[1].Int)
-		}
-		// Rows column: 1 row (id<2) + 3 rows (id<3000).
-		if rows := r[6].Int; rows != 4 {
-			t.Errorf("rows = %d, want 4", rows)
+		if r[0].Str == fingerprint {
+			return r[1].Int, r[6].Int, true
 		}
 	}
-	if !found {
-		var got []string
-		for _, r := range res.Rows {
-			got = append(got, r[0].Str)
-		}
-		t.Fatalf("fingerprint %q not in SHOW STATEMENTS; have %v", want, got)
-	}
+	return 0, 0, false
 }
 
 func TestSlowQueryLogStructured(t *testing.T) {

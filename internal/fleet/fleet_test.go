@@ -393,6 +393,10 @@ func TestFleetChildCPUAttribution(t *testing.T) {
 		isolate.NewNativeIsolated("double", []types.Kind{types.KindInt}, types.KindInt), f)
 	gov := govern.NewGovernor(govern.Quota{})
 	burner, quiet := gov.Tenant("cpuburn"), gov.Tenant("cpuquiet")
+	// The exported counter is process-global (it outlives this governor),
+	// so compare its change over this run with this run's ledger.
+	metricCtr := obs.Default.Counter("predator_tenant_child_cpu_ns_total", "tenant", "cpuburn")
+	metricBefore := metricCtr.Value()
 
 	const (
 		spinMS       = 2
@@ -456,7 +460,7 @@ func TestFleetChildCPUAttribution(t *testing.T) {
 		t.Errorf("quiet tenant child CPU = %v, more than 10%% of the burner's %v", q, got)
 	}
 	// Ledger and exported counter agree exactly.
-	metric := time.Duration(obs.Default.Counter("predator_tenant_child_cpu_ns_total", "tenant", "cpuburn").Value())
+	metric := time.Duration(metricCtr.Value() - metricBefore)
 	if metric != got {
 		t.Errorf("predator_tenant_child_cpu_ns_total = %v, ledger = %v", metric, got)
 	}
@@ -514,5 +518,47 @@ func TestFleetSnapshotShape(t *testing.T) {
 	}
 	if resident == 0 {
 		t.Error("no resident streams after an invoke (idle lease missing)")
+	}
+}
+
+// TestFleetIdleWorkerDeathReplaced kills an executor that no stream is
+// reading from: nothing waits on its pipe, so only the process reaper
+// can notice. Done must still close promptly (well before the first
+// health ping), and the supervisor must replace the slot.
+func TestFleetIdleWorkerDeathReplaced(t *testing.T) {
+	f := newFleetT(t, Options{Size: 1, PingInterval: 1500 * time.Millisecond})
+	f.mu.Lock()
+	mx := f.workers[0].mx
+	f.mu.Unlock()
+	if mx == nil {
+		t.Fatal("slot 0 has no executor")
+	}
+	victim := mx.PID()
+	if err := syscall.Kill(victim, syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-mx.Done():
+	case <-time.After(time.Second):
+		t.Fatal("Done() did not close within 1s of an idle executor's death")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		info := f.Snapshot()[0]
+		if info.State == "up" && info.PID != victim {
+			if info.Restarts != 1 {
+				t.Errorf("restarts = %d, want 1", info.Restarts)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slot not replaced after an idle executor's death: %+v", info)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	u := isolate.WithFleet(
+		isolate.NewNativeIsolated("double", []types.Kind{types.KindInt}, types.KindInt), f)
+	if out, err := u.Invoke(nil, []types.Value{types.NewInt(21)}); err != nil || out.Int != 42 {
+		t.Fatalf("invoke on the replaced slot = %v, %v", out, err)
 	}
 }

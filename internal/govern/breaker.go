@@ -76,7 +76,11 @@ type Breaker struct {
 	windowStart time.Time // start of the current counting window
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
+	nOpens      int64
+	nSheds      int64
 
+	// The process-wide counters sum every breaker of a name for
+	// /metrics; Status reads this breaker's own counts above.
 	opens *obs.Counter
 	sheds *obs.Counter
 	gauge *obs.Gauge
@@ -113,14 +117,14 @@ func (b *Breaker) Allow() error {
 			b.gauge.Set(breakerHalfOpen)
 			return nil // the probe
 		}
-		b.sheds.Inc()
+		b.shed()
 		return &BreakerOpenError{Name: b.name, Until: b.cfg.Cooldown - time.Since(b.openedAt)}
 	default: // half-open
 		if !b.probing {
 			b.probing = true
 			return nil
 		}
-		b.sheds.Inc()
+		b.shed()
 		return &BreakerOpenError{Name: b.name, Until: 0}
 	}
 }
@@ -139,10 +143,7 @@ func (b *Breaker) Record(fatal bool) {
 	case breakerHalfOpen:
 		b.probing = false
 		if fatal {
-			b.state = breakerOpen
-			b.openedAt = time.Now()
-			b.opens.Inc()
-			b.gauge.Set(breakerOpen)
+			b.open(time.Now())
 			return
 		}
 		// Probe succeeded: the callee recovered.
@@ -160,12 +161,24 @@ func (b *Breaker) Record(fatal bool) {
 		}
 		b.failures++
 		if b.failures >= b.cfg.Failures {
-			b.state = breakerOpen
-			b.openedAt = now
-			b.opens.Inc()
-			b.gauge.Set(breakerOpen)
+			b.open(now)
 		}
 	}
+}
+
+// open trips the breaker; the caller holds b.mu.
+func (b *Breaker) open(now time.Time) {
+	b.state = breakerOpen
+	b.openedAt = now
+	b.nOpens++
+	b.opens.Inc()
+	b.gauge.Set(breakerOpen)
+}
+
+// shed counts one fail-fast rejection; the caller holds b.mu.
+func (b *Breaker) shed() {
+	b.nSheds++
+	b.sheds.Inc()
 }
 
 // BreakerStatus is a point-in-time snapshot for SHOW UDFS.
@@ -183,7 +196,7 @@ func (b *Breaker) Status() BreakerStatus {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := BreakerStatus{Failures: b.failures, Opens: b.opens.Value(), Sheds: b.sheds.Value()}
+	st := BreakerStatus{Failures: b.failures, Opens: b.nOpens, Sheds: b.nSheds}
 	switch b.state {
 	case breakerOpen:
 		st.State = "open"

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"predator/internal/obs"
 )
 
 func TestGateAdmitsAndSheds(t *testing.T) {
@@ -257,6 +259,29 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		t.Fatalf("closed-again breaker rejected: %v", err)
 	}
 	b.Record(false)
+}
+
+// TestBreakerCountsAreItsOwn pins that a breaker's Opens and Sheds
+// belong to that breaker: a new breaker for a name that an earlier one
+// already opened and shed under (a dropped and re-created UDF) starts
+// at zero, while the name's /metrics counters keep summing both.
+func TestBreakerCountsAreItsOwn(t *testing.T) {
+	cfg := BreakerConfig{Failures: 1, Cooldown: time.Minute}
+	first := NewBreaker("test_udf_recreated", cfg)
+	first.Record(true)
+	if err := first.Allow(); err == nil {
+		t.Fatal("open breaker admitted a call")
+	}
+	if st := first.Status(); st.Opens != 1 || st.Sheds != 1 {
+		t.Fatalf("first breaker: %+v", st)
+	}
+	second := NewBreaker("test_udf_recreated", cfg)
+	if st := second.Status(); st.Opens != 0 || st.Sheds != 0 {
+		t.Fatalf("second breaker of the same name starts at %+v, want zero counts", st)
+	}
+	if v := obs.Default.Counter("predator_udf_breaker_opens_total", "udf", "test_udf_recreated").Value(); v < 1 {
+		t.Fatalf("opens counter = %d, want it to keep counting for /metrics", v)
+	}
 }
 
 func TestBreakerIgnoresNonFatal(t *testing.T) {

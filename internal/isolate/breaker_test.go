@@ -106,7 +106,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 
 // TestBreakerQuarantineLeavesPool checks that a UDF whose crash loop
 // opens its breaker while on the shared executor pool (a fleet) is
-// quarantined off it: after the cooldown it answers from a dedicated
+// quarantined off it: after the cooldown it answers from a private
 // executor of its own and never crosses the shared transport again.
 func TestBreakerQuarantineLeavesPool(t *testing.T) {
 	var m lostMux
@@ -135,10 +135,10 @@ func TestBreakerQuarantineLeavesPool(t *testing.T) {
 		t.Fatalf("shared pool saw %d crossings, want the 2 before quarantine", n)
 	}
 	iu.mu.Lock()
-	own := iu.exec
+	own := iu.own
 	iu.mu.Unlock()
 	if own == nil {
-		t.Fatal("quarantined UDF did not bind a dedicated executor")
+		t.Fatal("quarantined UDF did not bind a private executor")
 	}
 }
 

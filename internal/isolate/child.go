@@ -2,6 +2,7 @@ package isolate
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -43,20 +44,22 @@ const warmCacheCap = 64
 // shutdown or EOF. Exported separately from MaybeRunExecutor for tests
 // that run the executor loop in-process over synthetic pipes.
 //
-// The child starts in the dedicated (untagged) protocol. The first
-// msgOpenStream frame switches it irreversibly into multiplexed mode:
-// from then on every frame payload carries a uvarint stream-ID prefix
-// and many independent streams — each with its own UDF binding — share
-// the single pipe. Dedicated executors never receive msgOpenStream, so
-// their wire traffic is byte-identical to the pre-fleet protocol.
+// Every frame payload in both directions starts with a uvarint stream
+// ID, from the child's first msgReady on. Stream 0 carries the ready,
+// ping/pong and shutdown frames; every stream opened by msgOpenStream
+// has its own UDF binding, and all of them share the single pipe.
 func RunExecutor(r io.Reader, w io.Writer, natives NativeTable) error {
 	c := newConn(r, w)
 	fault := parseFaultSpec(os.Getenv(FaultEnv))
 	fault.fire("ready", c)
-	if err := c.send(msgReady, nil); err != nil {
+	if err := c.send(msgReady, binary.AppendUvarint(nil, 0)); err != nil {
 		return err
 	}
-	st := &childState{conn: c, natives: natives, fault: fault}
+	st := &childState{
+		conn: c, natives: natives, fault: fault,
+		streams: make(map[uint64]*childStream),
+		warm:    make(map[string]*warmEntry),
+	}
 	for {
 		var f frame
 		if len(st.pending) > 0 {
@@ -66,59 +69,22 @@ func RunExecutor(r io.Reader, w io.Writer, natives NativeTable) error {
 			st.pending = st.pending[1:]
 		} else {
 			var err error
-			f, err = c.recv()
-			if err != nil {
-				if err == io.EOF {
+			if f, err = c.recv(); err != nil {
+				if errors.Is(err, io.EOF) {
 					return nil
 				}
-				// A closed pipe on shutdown is a normal exit.
 				return err
 			}
 		}
-		if !st.mux && f.typ == msgOpenStream {
-			st.enterMux()
-		}
-		if st.mux {
-			done, err := st.handleMux(f.typ, f.payload)
-			if done || err != nil {
-				return err
-			}
-			continue
-		}
-		switch f.typ {
-		case msgSetupNative:
-			fault.fire("setup", c)
-			st.setupNative(f.payload)
-		case msgSetupVM:
-			fault.fire("setup", c)
-			st.setupVM(f.payload)
-		case msgInvoke:
-			fault.fire("invoke", c)
-			st.invoke(st.stable(f.payload))
-		case msgInvokeBatch:
-			fault.fire("invoke", c)
-			st.invokeBatch(st.stable(f.payload))
-		case msgTraceCtx:
-			st.armTrace(f.payload)
-		case msgPing:
-			if err := c.send(msgPong, nil); err != nil {
-				return err
-			}
-		case msgShutdown:
-			fault.fire("shutdown", c)
-			return nil
-		default:
-			if err := c.send(msgError, appendString(nil, fmt.Sprintf("unexpected message %d", f.typ))); err != nil {
-				return err
-			}
+		if done, err := st.handle(f.typ, f.payload); done || err != nil {
+			return err
 		}
 	}
 }
 
-// binding is one resolved UDF implementation (exactly one side set).
-// The dedicated protocol has a single binding per process; a
-// multiplexed child keeps one per warm-cache entry, shared by every
-// stream opened against the same (tenant, UDF, token) key.
+// binding is one resolved UDF implementation (exactly one side set),
+// kept per warm-cache entry and shared by every stream opened against
+// the same (tenant, UDF, token) key.
 type binding struct {
 	nativeFn core.NativeFunc
 	vmClass  *jvm.LoadedClass
@@ -126,12 +92,15 @@ type binding struct {
 	vmLimits jvm.Limits
 }
 
-// childStream is one open stream of a multiplexed child: a binding plus
-// the per-stream trace arming (msgTraceCtx applies to the stream it
-// tags, not to the whole process).
+// childStream is one open stream: a binding plus the per-stream trace
+// arming (msgTraceCtx applies to the stream it tags, not to the whole
+// process). setup is the span of the stream's full setup, shipped with
+// its first traced result so a trace shows executor setup cost even
+// when setup predates tracing.
 type childStream struct {
 	bind   *binding
 	traced bool
+	setup  *childSpan
 }
 
 // warmEntry is one recyclable (tenant, UDF, token) binding with its
@@ -147,20 +116,14 @@ type childState struct {
 	natives NativeTable
 	fault   *faultPlan
 
-	// bind is the dedicated-path binding (msgSetupNative/msgSetupVM);
-	// cur points at whichever binding the current invoke runs under —
-	// &bind for dedicated children, the stream's binding under mux.
-	bind binding
-	cur  *binding
-
-	// Multiplexed mode (entered on the first msgOpenStream and never
-	// left): open streams, the warm binding cache, the stream the frame
-	// being handled belongs to, and frames queued during callback waits.
-	mux     bool
-	curSID  uint64
+	// Open streams, the warm binding cache, the stream the frame being
+	// handled belongs to (curSID; cur once it resolves to an open
+	// stream), and frames queued during callback waits.
 	streams map[uint64]*childStream
 	warm    map[string]*warmEntry
 	warmSeq uint64
+	cur     *childStream
+	curSID  uint64
 	pending []frame
 
 	// argBuf/respBuf are grow-only scratch buffers: invoke frames are
@@ -170,41 +133,23 @@ type childState struct {
 	argBuf  []byte
 	respBuf []byte
 
-	// traced marks the next invoke frame as span-recorded (armed by a
-	// preceding msgTraceCtx, cleared when the result ships). spanSeq
-	// allocates child-local span IDs; the parent remaps them on merge.
+	// traced marks the current invoke as span-recorded (armed by a
+	// preceding msgTraceCtx on its stream, cleared when the result
+	// ships). spanSeq allocates child-local span IDs; the parent remaps
+	// them on merge.
 	traced  bool
 	spanSeq uint64
 	spans   []childSpan
-
-	// Setup timing is captured unconditionally (once per executor, two
-	// clock reads) and shipped with the first traced result, so a trace
-	// shows executor startup cost even when setup predates tracing.
-	setupSpan   childSpan
-	setupUnsent bool
 }
 
-// enterMux switches the child into multiplexed mode.
-func (st *childState) enterMux() {
-	st.mux = true
-	st.streams = make(map[uint64]*childStream)
-	st.warm = make(map[string]*warmEntry)
-}
-
-// tag prefixes a reply payload with the current stream ID under mux;
-// dedicated-path replies pass through untouched, keeping that wire
-// format byte-identical.
+// tag prefixes a reply payload with the current stream ID.
 func (st *childState) tag(buf []byte) []byte {
-	if st.mux {
-		return binary.AppendUvarint(buf, st.curSID)
-	}
-	return buf
+	return binary.AppendUvarint(buf, st.curSID)
 }
 
-// handleMux dispatches one multiplexed frame. Every payload starts with
-// the uvarint stream ID; the remainder is the same encoding the
-// dedicated protocol uses for that frame type.
-func (st *childState) handleMux(typ byte, payload []byte) (done bool, err error) {
+// handle dispatches one frame. Every payload starts with the uvarint
+// stream ID; the remainder is the frame type's own encoding.
+func (st *childState) handle(typ byte, payload []byte) (done bool, err error) {
 	r := &preader{buf: payload}
 	sid := r.uvarint()
 	if r.err != nil {
@@ -225,7 +170,7 @@ func (st *childState) handleMux(typ byte, payload []byte) (done bool, err error)
 			st.fail("invoke on unknown stream %d", sid)
 			return false, nil
 		}
-		st.cur = s.bind
+		st.cur = s
 		st.traced = s.traced
 		s.traced = false
 		st.fault.fire("invoke", st.conn)
@@ -235,7 +180,6 @@ func (st *childState) handleMux(typ byte, payload []byte) (done bool, err error)
 			st.invokeBatch(st.stable(rest))
 		}
 	case msgTraceCtx:
-		s := st.streams[sid]
 		tr := &preader{buf: rest}
 		tr.uvarint() // trace ID
 		tr.uvarint() // parent span ID
@@ -243,7 +187,7 @@ func (st *childState) handleMux(typ byte, payload []byte) (done bool, err error)
 			st.fail("bad trace frame: %v", tr.err)
 			return false, nil
 		}
-		if s != nil {
+		if s := st.streams[sid]; s != nil {
 			s.traced = true
 		}
 	case msgPing:
@@ -260,22 +204,14 @@ func (st *childState) handleMux(typ byte, payload []byte) (done bool, err error)
 	return false, nil
 }
 
-// openStream binds a new stream. streamCtl opens the control stream
-// (the mux handshake); streamWarm recycles a cached binding and fails
-// cleanly when cold so the parent can retry with a full setup;
-// streamNative/streamVM run a full setup and deposit the binding in the
-// warm cache for future streams keyed the same way.
+// openStream binds a new stream. streamWarm recycles a cached binding
+// and fails cleanly when cold so the parent can retry with a full
+// setup; streamNative/streamVM fire the setup fault point, run a full
+// setup and deposit the binding in the warm cache for future streams
+// keyed the same way.
 func (st *childState) openStream(sid uint64, payload []byte) {
 	r := &preader{buf: payload}
 	kind := r.byte()
-	if r.err != nil {
-		st.fail("bad open-stream frame: %v", r.err)
-		return
-	}
-	if kind == streamCtl {
-		_ = st.conn.send(msgReady, st.tag(nil))
-		return
-	}
 	tenant := r.str()
 	name := r.str()
 	token := r.str()
@@ -285,6 +221,7 @@ func (st *childState) openStream(sid uint64, payload []byte) {
 	}
 	key := warmKey(tenant, name, token)
 	st.warmSeq++
+	s := &childStream{}
 	switch kind {
 	case streamWarm:
 		e, ok := st.warm[key]
@@ -293,9 +230,17 @@ func (st *childState) openStream(sid uint64, payload []byte) {
 			return
 		}
 		e.last = st.warmSeq
-		st.streams[sid] = &childStream{bind: e.bind}
-	case streamNative:
-		b, err := st.bindNative(r.str())
+		s.bind = e.bind
+	case streamNative, streamVM:
+		st.fault.fire("setup", st.conn)
+		start := time.Now()
+		var b *binding
+		var err error
+		if kind == streamNative {
+			b, err = st.bindNative(r.str())
+		} else {
+			b, err = st.bindVM(r)
+		}
 		if r.err != nil {
 			st.fail("bad open-stream frame: %v", r.err)
 			return
@@ -305,23 +250,13 @@ func (st *childState) openStream(sid uint64, payload []byte) {
 			return
 		}
 		st.cacheWarm(key, b)
-		st.streams[sid] = &childStream{bind: b}
-	case streamVM:
-		b, err := st.bindVM(r)
-		if r.err != nil {
-			st.fail("bad open-stream frame: %v", r.err)
-			return
-		}
-		if err != nil {
-			st.fail("%v", err)
-			return
-		}
-		st.cacheWarm(key, b)
-		st.streams[sid] = &childStream{bind: b}
+		s.bind = b
+		s.setup = &childSpan{id: st.newSpanID(), name: "child/setup", start: start, dur: time.Since(start)}
 	default:
 		st.fail("unknown stream kind %d", kind)
 		return
 	}
+	st.streams[sid] = s
 	_ = st.conn.send(msgReady, st.tag(nil))
 }
 
@@ -349,20 +284,6 @@ func (st *childState) cacheWarm(key string, b *binding) {
 	delete(st.warm, victim)
 }
 
-// armTrace marks the next invoke as traced. The payload (trace ID,
-// parent span ID) is decoded for validation; span parentage is
-// reconstructed parent-side when the shipped spans are merged.
-func (st *childState) armTrace(payload []byte) {
-	r := &preader{buf: payload}
-	r.uvarint() // trace ID
-	r.uvarint() // parent span ID
-	if r.err != nil {
-		st.fail("bad trace frame: %v", r.err)
-		return
-	}
-	st.traced = true
-}
-
 // newSpanID allocates a child-local span ID.
 func (st *childState) newSpanID() uint64 {
 	st.spanSeq++
@@ -377,12 +298,13 @@ func (st *childState) addSpan(s childSpan) {
 	}
 }
 
-// sealSpans appends the recorded spans (plus the pending setup span, if
-// any) to a result payload and disarms tracing for the next frame.
+// sealSpans appends the recorded spans (plus the stream's unsent setup
+// span, if any) to a result payload and disarms tracing for the next
+// frame.
 func (st *childState) sealSpans(resp []byte) []byte {
-	if st.setupUnsent {
-		st.addSpan(st.setupSpan)
-		st.setupUnsent = false
+	if s := st.cur; s.setup != nil {
+		st.addSpan(*s.setup)
+		s.setup = nil
 	}
 	resp = appendChildSpans(resp, st.spans)
 	st.spans = st.spans[:0]
@@ -441,45 +363,6 @@ func (st *childState) bindVM(r *preader) (*binding, error) {
 	}, nil
 }
 
-func (st *childState) setupNative(payload []byte) {
-	r := &preader{buf: payload}
-	name := r.str()
-	if r.err != nil {
-		st.fail("bad setup frame: %v", r.err)
-		return
-	}
-	start := time.Now()
-	b, err := st.bindNative(name)
-	if err != nil {
-		st.fail("%v", err)
-		return
-	}
-	st.bind = *b
-	st.cur = &st.bind
-	st.setupSpan = childSpan{id: st.newSpanID(), name: "child/setup", start: start, dur: time.Since(start)}
-	st.setupUnsent = true
-	_ = st.conn.send(msgReady, nil)
-}
-
-func (st *childState) setupVM(payload []byte) {
-	r := &preader{buf: payload}
-	start := time.Now()
-	b, err := st.bindVM(r)
-	if r.err != nil {
-		st.fail("bad setup frame: %v", r.err)
-		return
-	}
-	if err != nil {
-		st.fail("%v", err)
-		return
-	}
-	st.bind = *b
-	st.cur = &st.bind
-	st.setupSpan = childSpan{id: st.newSpanID(), name: "child/setup", start: start, dur: time.Since(start)}
-	st.setupUnsent = true
-	_ = st.conn.send(msgReady, nil)
-}
-
 func (st *childState) invoke(payload []byte) {
 	r := &preader{buf: payload}
 	argc := int(r.uvarint())
@@ -495,7 +378,7 @@ func (st *childState) invoke(payload []byte) {
 	if st.traced {
 		inv = childSpan{id: st.newSpanID(), name: "child/invoke", start: time.Now()}
 	}
-	cb := &proxyCallback{conn: st.conn, fault: st.fault, st: st, parent: inv.id, sid: st.curSID}
+	cb := &proxyCallback{st: st, parent: inv.id, sid: st.curSID}
 	out, err := st.run(cb, args, inv.id)
 	if err != nil {
 		st.fail("%v", err)
@@ -516,17 +399,10 @@ func (st *childState) invoke(payload []byte) {
 // run evaluates one row with whatever UDF is bound. parent is the span
 // to hang VM-execution spans under (0 when untraced).
 func (st *childState) run(cb *proxyCallback, args []types.Value, parent uint64) (types.Value, error) {
-	b := st.cur
-	switch {
-	case b == nil:
-		return types.Value{}, fmt.Errorf("executor has no UDF bound (missing setup)")
-	case b.nativeFn != nil:
+	if b := st.cur.bind; b.nativeFn != nil {
 		return b.nativeFn(&core.Ctx{Callback: cb}, args)
-	case b.vmClass != nil:
-		return st.invokeVM(cb, args, parent)
-	default:
-		return types.Value{}, fmt.Errorf("executor has no UDF bound (missing setup)")
 	}
+	return st.invokeVM(cb, args, parent)
 }
 
 // invokeBatch evaluates every row of one msgInvokeBatch frame and
@@ -545,13 +421,13 @@ func (st *childState) invokeBatch(payload []byte) {
 	if st.traced {
 		inv = childSpan{id: st.newSpanID(), name: "child/invoke", start: time.Now()}
 	}
-	cb := &proxyCallback{conn: st.conn, fault: st.fault, st: st, parent: inv.id, sid: st.curSID}
+	cb := &proxyCallback{st: st, parent: inv.id, sid: st.curSID}
 	resp := st.tag(st.respBuf[:0])
 	resp = binary.AppendUvarint(resp, uint64(n))
 	args := make([]types.Value, arity)
 	cpuStart := selfCPUNanos()
 	for i := 0; i < n; i++ {
-		st.fault.fireBatchRow(i, st.conn)
+		st.fault.fireBatchRow(i, st.conn, st.curSID)
 		for j := 0; j < arity; j++ {
 			args[j] = r.value()
 		}
@@ -569,8 +445,7 @@ func (st *childState) invokeBatch(payload []byte) {
 	st.fault.fire("result", st.conn)
 	// CPU-attribution tail: the executor's user+system CPU consumed by
 	// this batch, so the parent can charge the owning tenant precisely
-	// instead of by wall clock. Rides only on the batch frame — the
-	// scalar msgResult stays byte-identical to the legacy protocol.
+	// instead of by wall clock. Rides only on the batch frame.
 	cpu := selfCPUNanos() - cpuStart
 	if cpu < 0 {
 		cpu = 0
@@ -586,7 +461,7 @@ func (st *childState) invokeBatch(payload []byte) {
 }
 
 func (st *childState) invokeVM(cb jvm.Callback, args []types.Value, parent uint64) (types.Value, error) {
-	b := st.cur
+	b := st.cur.bind
 	cls := b.vmClass.Class()
 	mi := cls.MethodIndex(b.vmMethod)
 	if mi < 0 {
@@ -632,41 +507,27 @@ func (st *childState) invokeVM(cb jvm.Callback, args []types.Value, parent uint6
 
 // proxyCallback forwards callback requests over the pipe to the parent
 // (each call is a full process-boundary round trip — the effect the
-// paper's Figure 8 measures for IC++).
+// paper's Figure 8 measures for IC++). parent lets a traced invoke
+// record one child/callback_wait span per round trip; sid tags the
+// request so the parent routes it to the right waiting stream.
 type proxyCallback struct {
-	conn  *conn
-	fault *faultPlan
-
-	// st/parent let a traced invoke record one child/callback_wait span
-	// per round trip (the paper's Figure 8 double crossing, now visible
-	// in a trace). st is nil-safe untraced: spans are only recorded
-	// while st.traced holds.
 	st     *childState
 	parent uint64
-
-	// sid tags callback frames under mux (the parent routes the request
-	// to the right waiting stream).
-	sid uint64
+	sid    uint64
 }
 
-// mux reports whether this callback speaks the tagged protocol.
-func (p *proxyCallback) mux() bool { return p.st != nil && p.st.mux }
-
 func (p *proxyCallback) roundTrip(op byte, handle, off, length int64) (*preader, error) {
-	p.fault.fire("callback", p.conn)
+	p.st.fault.fire("callback", p.st.conn)
 	var start time.Time
-	if p.st != nil && p.st.traced {
+	if p.st.traced {
 		start = time.Now()
 	}
-	var buf []byte
-	if p.mux() {
-		buf = binary.AppendUvarint(buf, p.sid)
-	}
+	buf := binary.AppendUvarint(nil, p.sid)
 	buf = append(buf, op)
 	buf = binary.AppendVarint(buf, handle)
 	buf = binary.AppendVarint(buf, off)
 	buf = binary.AppendVarint(buf, length)
-	if err := p.conn.send(msgCallback, buf); err != nil {
+	if err := p.st.conn.send(msgCallback, buf); err != nil {
 		return nil, err
 	}
 	payload, err := p.recvCBResult()
@@ -683,22 +544,16 @@ func (p *proxyCallback) roundTrip(op byte, handle, off, length int64) (*preader,
 	return r, nil
 }
 
-// recvCBResult reads frames until the callback reply arrives. Under mux
-// the parent may interleave frames for other streams on the same pipe
-// while this stream's invoke is blocked in a callback; those frames are
+// recvCBResult reads frames until the callback reply arrives. The
+// parent may interleave frames for other streams on the same pipe while
+// this stream's invoke is blocked in a callback; those frames are
 // copied and queued for the main loop, and pings are answered inline so
 // the parent's health checks never stall behind a slow callback.
 func (p *proxyCallback) recvCBResult() ([]byte, error) {
 	for {
-		f, err := p.conn.recv()
+		f, err := p.st.conn.recv()
 		if err != nil {
 			return nil, err
-		}
-		if !p.mux() {
-			if f.typ != msgCBResult {
-				return nil, fmt.Errorf("isolate: unexpected callback reply %d", f.typ)
-			}
-			return f.payload, nil
 		}
 		r := &preader{buf: f.payload}
 		sid := r.uvarint()
@@ -712,7 +567,7 @@ func (p *proxyCallback) recvCBResult() ([]byte, error) {
 			}
 			return f.payload[r.off:], nil
 		case msgPing:
-			if err := p.conn.send(msgPong, binary.AppendUvarint(nil, 0)); err != nil {
+			if err := p.st.conn.send(msgPong, binary.AppendUvarint(nil, 0)); err != nil {
 				return nil, err
 			}
 		default:

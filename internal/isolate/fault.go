@@ -1,6 +1,7 @@
 package isolate
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"strconv"
@@ -17,7 +18,7 @@ import (
 // Points (where in the child's protocol life the fault fires):
 //
 //	ready    — before sending the initial msgReady handshake
-//	setup    — on receiving a setup request, before handling it
+//	setup    — on opening a native or VM stream, before binding it
 //	invoke   — on receiving an invocation, before running the UDF
 //	result   — after running the UDF, before sending its result
 //	callback — before forwarding a UDF callback to the parent
@@ -111,19 +112,19 @@ func (p *faultPlan) fire(point string, c *conn) {
 
 // fireBatchRow triggers the configured fault when it targets a specific
 // row of a batched invocation (point "batchrow", arg = the row index;
-// e.g. "batchrow:crash:3"). A crash sends a dying-gasp msgError naming
-// the in-flight row — so the parent's error can report which row was
-// being evaluated — then exits with the fault code; the supervisor
-// still observes the process death and restarts as usual.
-func (p *faultPlan) fireBatchRow(row int, c *conn) {
+// e.g. "batchrow:crash:3"). A crash sends the invoking stream a
+// dying-gasp msgError naming the in-flight row — so the parent's error
+// can report which row was being evaluated — then exits with the fault
+// code; the supervisor still observes the process death and restarts
+// as usual.
+func (p *faultPlan) fireBatchRow(row int, c *conn, sid uint64) {
 	if p == nil || p.point != "batchrow" || p.arg != strconv.Itoa(row) {
 		return
 	}
 	switch p.mode {
 	case "crash":
-		if c != nil {
-			_ = c.send(msgError, appendString(nil, fmt.Sprintf("injected crash at batch row %d", row)))
-		}
+		msg := fmt.Sprintf("injected crash at batch row %d", row)
+		_ = c.send(msgError, appendString(binary.AppendUvarint(nil, sid), msg))
 		fmt.Fprintf(os.Stderr, "udf-executor: injected crash at batch row %d\n", row)
 		os.Exit(faultExitCode)
 	case "hang":

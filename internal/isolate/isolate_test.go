@@ -1,6 +1,7 @@
 package isolate
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"strings"
@@ -241,8 +242,11 @@ func TestVMIsolatedRejectsCorruptClass(t *testing.T) {
 	}
 }
 
-func TestRunExecutorOverSyntheticPipes(t *testing.T) {
-	// Drive the child loop in-process: parent end <-> child end.
+// pipeExecutor runs the child loop in-process over synthetic pipes and
+// returns the parent's end, with the child's ready frame (stream 0)
+// already read.
+func pipeExecutor(t *testing.T) *conn {
+	t.Helper()
 	parentR, childW, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -255,88 +259,104 @@ func TestRunExecutorOverSyntheticPipes(t *testing.T) {
 		defer childW.Close()
 		RunExecutor(childR, childW, testNatives)
 	}()
+	t.Cleanup(func() { parentW.Close() })
 	c := newConn(parentR, parentW)
-	f, err := c.recv()
-	if err != nil || f.typ != msgReady {
-		t.Fatalf("ready: %v %d", err, f.typ)
+	if typ, sid, _ := recvTagged(t, c); typ != msgReady || sid != 0 {
+		t.Fatalf("ready: type %d on stream %d", typ, sid)
 	}
-	if err := c.send(msgSetupNative, appendString(nil, "sumbytes")); err != nil {
+	return c
+}
+
+// sendTagged writes one frame whose payload is the stream tag then body.
+func sendTagged(t *testing.T, c *conn, typ byte, sid uint64, body []byte) {
+	t.Helper()
+	if err := c.send(typ, append(binary.AppendUvarint(nil, sid), body...)); err != nil {
 		t.Fatal(err)
 	}
-	if f, err = c.recv(); err != nil || f.typ != msgReady {
-		t.Fatalf("setup: %v %d", err, f.typ)
+}
+
+// recvTagged reads one frame and splits off its stream tag.
+func recvTagged(t *testing.T, c *conn) (typ byte, sid uint64, body []byte) {
+	t.Helper()
+	f, err := c.recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &preader{buf: f.payload}
+	sid = r.uvarint()
+	if r.err != nil {
+		t.Fatalf("untagged frame %d from the child", f.typ)
+	}
+	return f.typ, sid, f.payload[r.off:]
+}
+
+// openNative is the body of a msgOpenStream binding a native UDF.
+func openNative(name string) []byte {
+	buf := []byte{streamNative}
+	buf = appendString(buf, "tenant")
+	buf = appendString(buf, name)
+	buf = appendString(buf, "tok")
+	return appendString(buf, name)
+}
+
+func TestRunExecutorOverSyntheticPipes(t *testing.T) {
+	c := pipeExecutor(t)
+	sendTagged(t, c, msgOpenStream, 1, openNative("sumbytes"))
+	if typ, sid, _ := recvTagged(t, c); typ != msgReady || sid != 1 {
+		t.Fatalf("open: type %d on stream %d", typ, sid)
 	}
 	payload := []byte{1} // argc=1 (uvarint)
 	payload = types.EncodeValue(payload, types.NewBytes([]byte{3, 4}))
-	if err := c.send(msgInvoke, payload); err != nil {
-		t.Fatal(err)
+	sendTagged(t, c, msgInvoke, 1, payload)
+	typ, sid, body := recvTagged(t, c)
+	if typ != msgResult || sid != 1 {
+		t.Fatalf("result: type %d on stream %d", typ, sid)
 	}
-	f, err = c.recv()
-	if err != nil || f.typ != msgResult {
-		t.Fatalf("result: %v %d", err, f.typ)
-	}
-	r := &preader{buf: f.payload}
+	r := &preader{buf: body}
 	v := r.value()
 	if r.err != nil || v.Int != 7 {
 		t.Errorf("value = %v, %v", v, r.err)
 	}
-	// Invoke before setup on a fresh executor must fail gracefully.
-	if err := c.send(msgShutdown, nil); err != nil {
-		t.Fatal(err)
-	}
+	sendTagged(t, c, msgShutdown, 0, nil)
 }
 
 func TestExecutorProtocolRobustness(t *testing.T) {
 	// Drive the child loop with hostile frames: it must answer errors,
 	// never crash, and keep serving.
-	parentR, childW, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	childR, parentW, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		defer childW.Close()
-		RunExecutor(childR, childW, testNatives)
-	}()
-	c := newConn(parentR, parentW)
-	if f, err := c.recv(); err != nil || f.typ != msgReady {
-		t.Fatalf("ready: %v", err)
+	c := pipeExecutor(t)
+	expectError := func(what string, wantSID uint64) {
+		t.Helper()
+		if typ, sid, _ := recvTagged(t, c); typ != msgError || sid != wantSID {
+			t.Fatalf("%s reply: type %d on stream %d", what, typ, sid)
+		}
 	}
 	// Unknown message type.
-	if err := c.send(0x7F, []byte{1, 2, 3}); err != nil {
+	sendTagged(t, c, 0x7F, 1, []byte{2, 3})
+	expectError("unknown type", 1)
+	// A frame without a stream tag.
+	if err := c.send(msgInvoke, nil); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.recv()
-	if err != nil || f.typ != msgError {
-		t.Fatalf("unknown type reply: %v %d", err, f.typ)
-	}
+	expectError("untagged", 0)
 	// Invoke before setup.
-	if err := c.send(msgInvoke, []byte{0}); err != nil {
-		t.Fatal(err)
-	}
-	f, err = c.recv()
-	if err != nil || f.typ != msgError {
-		t.Fatalf("invoke-before-setup reply: %v %d", err, f.typ)
-	}
+	sendTagged(t, c, msgInvoke, 1, []byte{0})
+	expectError("invoke-before-setup", 1)
 	// Truncated setup frame.
-	if err := c.send(msgSetupNative, []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	f, err = c.recv()
-	if err != nil || f.typ != msgError {
-		t.Fatalf("truncated setup reply: %v %d", err, f.typ)
-	}
+	sendTagged(t, c, msgOpenStream, 1, []byte{streamNative, 0xFF})
+	expectError("truncated setup", 1)
+	// Unknown stream kind.
+	sendTagged(t, c, msgOpenStream, 1, append([]byte{0x7F}, openNative("sumbytes")[1:]...))
+	expectError("unknown kind", 1)
 	// The executor still works after all that.
-	if err := c.send(msgSetupNative, appendString(nil, "sumbytes")); err != nil {
-		t.Fatal(err)
+	sendTagged(t, c, msgOpenStream, 1, openNative("sumbytes"))
+	if typ, sid, _ := recvTagged(t, c); typ != msgReady || sid != 1 {
+		t.Fatalf("recovery setup: type %d on stream %d", typ, sid)
 	}
-	if f, err = c.recv(); err != nil || f.typ != msgReady {
-		t.Fatalf("recovery setup: %v %d", err, f.typ)
+	sendTagged(t, c, msgPing, 0, nil)
+	if typ, sid, _ := recvTagged(t, c); typ != msgPong || sid != 0 {
+		t.Fatalf("ping: type %d on stream %d", typ, sid)
 	}
-	c.send(msgShutdown, nil)
+	sendTagged(t, c, msgShutdown, 0, nil)
 }
 
 func TestConcurrentIsolatedInvocations(t *testing.T) {

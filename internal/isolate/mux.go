@@ -2,6 +2,7 @@ package isolate
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -9,50 +10,60 @@ import (
 	"time"
 
 	"predator/internal/core"
+	"predator/internal/jvm"
 	"predator/internal/types"
 )
 
-// MuxExecutor is the parent-side handle to one multiplexed executor
-// process: a single child shared by many streams, each stream an
-// independent (tenant, UDF) binding with at most one invocation in
-// flight. A dispatcher goroutine owns the read side of the pipe and
-// routes tagged frames to the waiting stream; writers interleave tagged
-// frames under a write lock. One MuxExecutor therefore carries the
-// traffic that would otherwise need one dedicated Executor per query
-// per UDF — the fleet's whole point.
+// MuxExecutor is the parent-side handle to one executor process: a
+// single child carrying many streams, each stream an independent
+// (tenant, UDF) binding with at most one invocation in flight. The
+// fleet shares one MuxExecutor among many queries; a fleetless or
+// quarantined UDF owns a private one with a single stream.
+//
+// No goroutine owns the read side of the pipe. A waiting stream reads
+// the pipe itself whenever no other waiter is reading (see next), and
+// routes the frames it reads for other streams to their channels.
+// Writers interleave tagged frames under a write lock.
 //
 // Failure policy is deliberately blunt: any protocol violation, pipe
 // break or deadline expiry destroys the entire process. The stream that
 // caused the fault gets its precise classification (FaultTimeout,
-// FaultProtocol); every innocent sibling resident on the process gets
-// FaultExecutorLost, which is retryable — the fleet reopens the stream
-// on a healthy executor.
+// FaultProtocol). On a shared executor every other resident stream gets
+// FaultExecutorLost, which is retryable: the fleet reopens the stream
+// on a healthy executor. On a private executor the sole stream gets the
+// class of the death itself, recorded by destroy.
 type MuxExecutor struct {
-	sup  Supervision
-	cmd  *exec.Cmd
-	conn *conn
+	sup     Supervision
+	cmd     *exec.Cmd
+	conn    *conn
+	private bool
 
 	// wmu serializes frame writes (many streams share the pipe).
 	wmu sync.Mutex
 
+	// rtok is the one-slot reader token: the waiter holding it is the
+	// only one reading the pipe.
+	rtok chan struct{}
+
 	// mu guards stream/warm bookkeeping.
-	mu      sync.Mutex
-	streams map[uint64]*MuxStream
-	warm    map[string]struct{}
-	nextID  uint64
+	mu       sync.Mutex
+	streams  map[uint64]*MuxStream
+	warm     map[string]struct{}
+	nextID   uint64
+	lastPong int64 // unix-nano of the last successful ping
 
 	// dead closes exactly once when the process is destroyed for any
-	// reason; deadErr records why.
-	dead     chan struct{}
-	deadOnce sync.Once
-	deadErr  error
+	// reason; deadClass and deadErr record why.
+	dead      chan struct{}
+	deadOnce  sync.Once
+	deadClass core.FaultClass
+	deadErr   error
 
 	// waited closes once the background reaper has collected the child.
 	waited  chan struct{}
 	waitErr error
 
-	pongCh   chan struct{}
-	lastPong int64 // unix-nano of the last successful ping
+	pongCh chan muxFrame
 }
 
 // muxFrame is one routed frame delivered to a stream.
@@ -65,31 +76,42 @@ type muxFrame struct {
 // carries at most one invocation at a time (concurrency comes from
 // opening more streams); it is not safe for concurrent use.
 type MuxStream struct {
-	m   *MuxExecutor
-	id  uint64
-	key string
+	m  *MuxExecutor
+	id uint64
 
 	// ch receives this stream's routed frames. The protocol guarantees
 	// at most one undelivered frame per stream (the child sends one
 	// result, error, ready or callback and then waits), so a two-slot
 	// channel with double-buffered payload scratch never blocks the
-	// dispatcher; a child violating that is destroyed as babbling.
+	// reader; a child violating that is destroyed as babbling.
 	ch      chan muxFrame
 	scratch [2][]byte
 	si      int
 }
 
+// VMSetup describes the Jaguar UDF a stream should host (Design 4).
+type VMSetup struct {
+	ClassBytes []byte
+	Method     string
+	Limits     jvm.Limits
+}
+
 // StreamSetup describes the UDF binding a new stream needs (exactly one
-// of Native and VM set), mirroring the dedicated setup frames.
+// of Native and VM set).
 type StreamSetup struct {
 	Native string
 	VM     *VMSetup
 }
 
-// StartMux launches a multiplexed executor process: same re-exec
-// bootstrap as StartExecutorWith, then the control-stream handshake
-// that switches the child into tagged-frame mode, then the dispatcher.
-func StartMux(sup Supervision) (*MuxExecutor, error) {
+// StartMux launches an executor process whose streams may be shared by
+// many queries (a fleet slot).
+func StartMux(sup Supervision) (*MuxExecutor, error) { return startMux(sup, false) }
+
+// startMux re-executes the current binary with ExecutorEnv set and
+// waits for the child's ready frame under sup.StartTimeout. A private
+// executor carries the sole stream of one UDF, so that stream's faults
+// keep the class of the executor's death.
+func startMux(sup Supervision, private bool) (*MuxExecutor, error) {
 	sup = sup.withDefaults()
 	self, err := os.Executable()
 	if err != nil {
@@ -114,127 +136,178 @@ func StartMux(sup Supervision) (*MuxExecutor, error) {
 		sup:     sup,
 		cmd:     cmd,
 		conn:    newConn(stdout, stdin),
+		private: private,
+		rtok:    make(chan struct{}, 1),
 		streams: make(map[uint64]*MuxStream),
 		warm:    make(map[string]struct{}),
 		dead:    make(chan struct{}),
 		waited:  make(chan struct{}),
-		pongCh:  make(chan struct{}, 1),
+		pongCh:  make(chan muxFrame, 1),
 	}
+	// Reap in the background: the exit status is collected exactly once,
+	// no zombie remains, the child's true CPU time (rusage) is charged,
+	// and a child that dies while no stream is reading is still marked
+	// dead, so Done fires for the fleet supervisor.
 	go func() {
 		m.waitErr = cmd.Wait()
 		if ps := cmd.ProcessState; ps != nil {
 			cExecutorCPU.Add(int64(ps.UserTime() + ps.SystemTime()))
 		}
 		close(m.waited)
+		m.destroy(core.FaultExecutor, errors.New("process exited"))
 	}()
-	// Bootstrap handshake runs before the dispatcher exists, so plain
-	// deadline reads on the conn are safe here.
-	deadline := time.Now().Add(sup.StartTimeout)
-	f, err := recvTimeout(m.conn, deadline)
+	// No stream exists yet, so the handshake reads the pipe directly; a
+	// timer kills a child that does not become ready in time.
+	t := time.AfterFunc(sup.StartTimeout, func() { m.expire("start", sup.StartTimeout) })
+	f, err := m.conn.recv()
+	if !t.Stop() {
+		return nil, m.timeoutFault("start", sup.StartTimeout)
+	}
 	if err != nil {
-		m.destroy(err)
-		return nil, core.NewFault(core.FaultExecutor, "start", m.exitError(err))
+		m.destroy(classifyRecvErr(err), err)
+		return nil, core.NewFault(m.deadClass, "start", m.deathErr())
 	}
 	if f.typ != msgReady {
-		m.destroy(errMuxProtocol)
-		return nil, core.Faultf(core.FaultProtocol, "start", "unexpected first message %d", f.typ)
+		return nil, m.fail(core.FaultProtocol, "start", fmt.Errorf("unexpected first message %d", f.typ))
 	}
-	// Control-stream open: flips the child into multiplexed mode.
-	buf := binary.AppendUvarint(nil, 0)
-	buf = append(buf, streamCtl)
-	if err := m.conn.send(msgOpenStream, buf); err != nil {
-		m.destroy(err)
-		return nil, core.NewFault(core.FaultExecutor, "start", m.exitError(err))
-	}
-	f, err = recvTimeout(m.conn, deadline)
-	if err != nil {
-		m.destroy(err)
-		return nil, core.NewFault(core.FaultExecutor, "start", m.exitError(err))
-	}
-	if f.typ != msgReady {
-		m.destroy(errMuxProtocol)
-		return nil, core.Faultf(core.FaultProtocol, "start", "unexpected mux handshake reply %d", f.typ)
-	}
-	go m.dispatch()
+	m.rtok <- struct{}{}
 	return m, nil
 }
 
-var errMuxProtocol = fmt.Errorf("isolate: multiplexed protocol violation")
+// classifyRecvErr distinguishes a babbling child (invalid framing —
+// the protocol itself was violated) from a dead one (broken pipe).
+func classifyRecvErr(err error) core.FaultClass {
+	if errors.Is(err, errFrameSize) {
+		return core.FaultProtocol
+	}
+	return core.FaultExecutor
+}
 
-// recvTimeout reads one frame with a deadline; used only before the
-// dispatcher starts (afterwards the dispatcher owns the read side).
-func recvTimeout(c *conn, deadline time.Time) (frame, error) {
-	type res struct {
-		f   frame
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		f, err := c.recv()
-		ch <- res{f, err}
-	}()
-	d := time.Until(deadline)
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+// next blocks for the next frame routed to ch. Whenever no other waiter
+// holds the reader token, the caller takes it and reads the pipe
+// itself, routing other streams' frames and pongs to their channels,
+// until a frame for ch arrives. ok is false once the executor is dead.
+func (m *MuxExecutor) next(ch chan muxFrame) (f muxFrame, ok bool) {
 	select {
-	case r := <-ch:
-		return r.f, r.err
-	case <-t.C:
-		return frame{}, fmt.Errorf("isolate: no handshake within %v", d.Round(time.Millisecond))
+	case f = <-ch:
+		return f, true
+	case <-m.dead:
+	case <-m.rtok:
+		ok = m.read(ch)
+		m.rtok <- struct{}{}
+		if ok {
+			return <-ch, true
+		}
+	}
+	// A frame routed before the death still counts.
+	select {
+	case f = <-ch:
+		return f, true
+	default:
+		return muxFrame{}, false
 	}
 }
 
-// dispatch owns the read side: it strips the stream tag from every
-// frame and routes it to the owning stream (pongs to the ping waiter).
-// Any read error or protocol violation destroys the whole process.
-func (m *MuxExecutor) dispatch() {
-	for {
+// read routes frames while its caller holds the reader token, until one
+// lands in ch (true) or the executor is destroyed (false): by a broken
+// or babbling pipe here, or by a deadline or Close elsewhere, whose kill
+// makes the blocked read return. Nothing is read after the death: the
+// pipe may hold the rest of a frame whose header was garbage.
+func (m *MuxExecutor) read(ch chan muxFrame) bool {
+	for len(ch) == 0 {
+		if !m.Alive() {
+			return false
+		}
 		f, err := m.conn.recv()
 		if err != nil {
-			m.destroy(m.exitError(err))
-			return
+			m.destroy(classifyRecvErr(err), err)
+			return false
 		}
-		r := &preader{buf: f.payload}
-		sid := r.uvarint()
-		if r.err != nil {
-			m.destroy(fmt.Errorf("%w: untagged frame %d", errMuxProtocol, f.typ))
-			return
+		if err := m.route(f); err != nil {
+			m.destroy(core.FaultProtocol, err)
+			return false
 		}
-		if f.typ == msgPong && sid == 0 {
-			select {
-			case m.pongCh <- struct{}{}:
-			default:
-			}
-			continue
-		}
-		m.mu.Lock()
-		s := m.streams[sid]
-		m.mu.Unlock()
-		if s == nil {
-			// A frame for a stream closed parent-side mid-flight (e.g. a
-			// result racing CloseStream). Dropping it is safe: nobody is
-			// waiting, and the child has no per-frame state.
-			continue
-		}
-		buf := append(s.scratch[s.si][:0], f.payload[r.off:]...)
-		s.scratch[s.si] = buf
-		s.si ^= 1
+	}
+	return true
+}
+
+// route strips the stream tag from a frame and delivers it to the
+// owning stream (pongs to the ping waiter), copying the payload out of
+// the receive scratch.
+func (m *MuxExecutor) route(f frame) error {
+	r := &preader{buf: f.payload}
+	sid := r.uvarint()
+	if r.err != nil {
+		return fmt.Errorf("untagged frame %d", f.typ)
+	}
+	if f.typ == msgPong && sid == 0 {
 		select {
-		case s.ch <- muxFrame{typ: f.typ, payload: buf}:
+		case m.pongCh <- muxFrame{typ: msgPong}:
 		default:
-			m.destroy(fmt.Errorf("%w: stream %d flooded (frame %d)", errMuxProtocol, sid, f.typ))
-			return
 		}
+		return nil
+	}
+	m.mu.Lock()
+	s := m.streams[sid]
+	m.mu.Unlock()
+	if s == nil {
+		// A frame for a stream closed parent-side mid-flight (e.g. a
+		// result racing CloseStream). Dropping it is safe: nobody is
+		// waiting, and the child has no per-frame state.
+		return nil
+	}
+	buf := append(s.scratch[s.si][:0], f.payload[r.off:]...)
+	s.scratch[s.si] = buf
+	s.si ^= 1
+	select {
+	case s.ch <- muxFrame{typ: f.typ, payload: buf}:
+		return nil
+	default:
+		return fmt.Errorf("stream %d flooded (frame %d)", sid, f.typ)
 	}
 }
 
-// destroy kills and reaps the child, waking every waiter exactly once.
-func (m *MuxExecutor) destroy(cause error) {
+// await returns the next frame routed to ch. A non-zero deadline arms a
+// timer that destroys the process; the blocked read then returns, and
+// the expiry is this waiter's FaultTimeout.
+func (m *MuxExecutor) await(ch chan muxFrame, op string, deadline time.Time) (muxFrame, error) {
+	var t *time.Timer
+	var d time.Duration
+	if !deadline.IsZero() {
+		if d = time.Until(deadline); d <= 0 {
+			m.expire(op, 0)
+			return muxFrame{}, m.timeoutFault(op, 0)
+		}
+		t = time.AfterFunc(d, func() { m.expire(op, d) })
+	}
+	f, ok := m.next(ch)
+	if t != nil && !t.Stop() {
+		return muxFrame{}, m.timeoutFault(op, d)
+	}
+	if !ok {
+		return muxFrame{}, m.lost(op)
+	}
+	return f, nil
+}
+
+// expire destroys the executor for a deadline that fired.
+func (m *MuxExecutor) expire(op string, d time.Duration) {
+	cTimeouts.Inc()
+	m.destroy(core.FaultTimeout, fmt.Errorf("no %s reply within %v", op, d.Round(time.Millisecond)))
+}
+
+// timeoutFault reports an expired deadline once the killed child is
+// reaped.
+func (m *MuxExecutor) timeoutFault(op string, d time.Duration) error {
+	<-m.waited
+	return core.Faultf(core.FaultTimeout, op, "no reply within %v (executor killed)", d.Round(time.Millisecond))
+}
+
+// destroy kills the child, records the class and cause of its death and
+// wakes every waiter, exactly once.
+func (m *MuxExecutor) destroy(class core.FaultClass, cause error) {
 	m.deadOnce.Do(func() {
-		m.deadErr = cause
+		m.deadClass, m.deadErr = class, cause
 		select {
 		case <-m.waited:
 		default:
@@ -242,22 +315,35 @@ func (m *MuxExecutor) destroy(cause error) {
 			cKills.Inc()
 		}
 		close(m.dead)
-		go func() { <-m.waited }() // detach the reap; no zombie either way
 	})
 }
 
-// exitError augments a pipe error with the child's exit status when it
-// has already been reaped.
-func (m *MuxExecutor) exitError(err error) error {
-	select {
-	case <-m.waited:
-		if m.waitErr != nil {
-			return fmt.Errorf("executor died: %v (pipe: %v)", m.waitErr, err)
-		}
-		return fmt.Errorf("executor exited (pipe: %v)", err)
-	default:
-		return err
+// fail destroys the executor for a fault its caller observed and
+// returns that fault once the child is reaped.
+func (m *MuxExecutor) fail(class core.FaultClass, op string, cause error) error {
+	m.destroy(class, cause)
+	<-m.waited
+	return core.NewFault(class, op, cause)
+}
+
+// lost classifies a stream's view of its executor's death: the death's
+// own class on a private executor, the retryable FaultExecutorLost on a
+// shared one.
+func (m *MuxExecutor) lost(op string) error {
+	if m.private {
+		return core.NewFault(m.deadClass, op, m.deathErr())
 	}
+	return core.NewFault(core.FaultExecutorLost, op, fmt.Errorf("shared executor lost: %v", m.deathErr()))
+}
+
+// deathErr describes the death with the child's exit status, waiting
+// for the reap (the process is already killed).
+func (m *MuxExecutor) deathErr() error {
+	<-m.waited
+	if m.waitErr != nil {
+		return fmt.Errorf("executor died: %v (%v)", m.waitErr, m.deadErr)
+	}
+	return fmt.Errorf("executor exited (%v)", m.deadErr)
 }
 
 // Alive reports whether the process has not been destroyed.
@@ -328,28 +414,20 @@ func (m *MuxExecutor) LastPingAge() time.Duration {
 // executor on pipe errors.
 func (m *MuxExecutor) send(op string, typ byte, payload []byte) error {
 	if !m.Alive() {
-		return core.NewFault(core.FaultExecutorLost, op, m.lostErr())
+		return m.lost(op)
 	}
 	m.wmu.Lock()
 	err := m.conn.send(typ, payload)
 	m.wmu.Unlock()
 	if err != nil {
-		m.destroy(m.exitError(err))
-		return core.NewFault(core.FaultExecutorLost, op, m.exitError(err))
+		m.destroy(core.FaultExecutor, err)
+		return m.lost(op)
 	}
 	return nil
 }
 
-// lostErr describes the executor's death for sibling-stream faults.
-func (m *MuxExecutor) lostErr() error {
-	if m.deadErr != nil {
-		return fmt.Errorf("shared executor lost: %v", m.deadErr)
-	}
-	return fmt.Errorf("shared executor lost")
-}
-
-// Ping round-trips a control-stream health probe. A failed or timed-out
-// ping destroys the executor.
+// Ping round-trips a stream-0 health probe. A failed or timed-out ping
+// destroys the executor.
 func (m *MuxExecutor) Ping(timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = m.sup.PingTimeout
@@ -362,21 +440,13 @@ func (m *MuxExecutor) Ping(timeout time.Duration) error {
 	if err := m.send("ping", msgPing, binary.AppendUvarint(nil, 0)); err != nil {
 		return err
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-m.pongCh:
-		m.mu.Lock()
-		m.lastPong = time.Now().UnixNano()
-		m.mu.Unlock()
-		return nil
-	case <-m.dead:
-		return core.NewFault(core.FaultExecutorLost, "ping", m.lostErr())
-	case <-t.C:
-		cTimeouts.Inc()
-		m.destroy(fmt.Errorf("ping timeout after %v", timeout))
-		return core.Faultf(core.FaultTimeout, "ping", "no pong within %v (executor killed)", timeout)
+	if _, err := m.await(m.pongCh, "ping", time.Now().Add(timeout)); err != nil {
+		return err
 	}
+	m.mu.Lock()
+	m.lastPong = time.Now().UnixNano()
+	m.mu.Unlock()
+	return nil
 }
 
 // OpenStream binds a new stream for (tenant, name, token). It first
@@ -389,10 +459,10 @@ func (m *MuxExecutor) OpenStream(tenant, name, token string, setup StreamSetup) 
 	m.mu.Lock()
 	if !m.Alive() {
 		m.mu.Unlock()
-		return nil, false, core.NewFault(core.FaultExecutorLost, "setup", m.lostErr())
+		return nil, false, m.lost("setup")
 	}
 	m.nextID++
-	s := &MuxStream{m: m, id: m.nextID, key: key, ch: make(chan muxFrame, 2)}
+	s := &MuxStream{m: m, id: m.nextID, ch: make(chan muxFrame, 2)}
 	m.streams[s.id] = s
 	_, tryWarm := m.warm[key]
 	m.mu.Unlock()
@@ -451,7 +521,7 @@ func (m *MuxExecutor) openAttempt(s *MuxStream, kind byte, tenant, name, token s
 	if err != nil {
 		return err
 	}
-	f, err := s.await("setup", deadline)
+	f, err := m.await(s.ch, "setup", deadline)
 	if err != nil {
 		return err
 	}
@@ -459,11 +529,12 @@ func (m *MuxExecutor) openAttempt(s *MuxStream, kind byte, tenant, name, token s
 	case msgReady:
 		return nil
 	case msgError:
+		// A clean rejection: the UDF (name, class) is bad, the executor
+		// itself is healthy and restarting cannot help.
 		r := &preader{buf: f.payload}
 		return core.Faultf(core.FaultUDF, "setup", "executor setup failed: %s", r.str())
 	default:
-		m.destroy(fmt.Errorf("%w: unexpected setup reply %d", errMuxProtocol, f.typ))
-		return core.Faultf(core.FaultProtocol, "setup", "unexpected setup reply %d", f.typ)
+		return m.fail(core.FaultProtocol, "setup", fmt.Errorf("unexpected setup reply %d", f.typ))
 	}
 }
 
@@ -486,47 +557,9 @@ func (m *MuxExecutor) CloseStream(s *MuxStream) {
 	}
 }
 
-// await blocks for this stream's next routed frame, the executor's
-// death, or the deadline — whichever comes first. Expiry destroys the
-// whole process (the child is single-threaded; a wedged invoke wedges
-// every stream).
-func (s *MuxStream) await(op string, deadline time.Time) (muxFrame, error) {
-	// Prefer a frame that already arrived over a racing death notice.
-	select {
-	case f := <-s.ch:
-		return f, nil
-	default:
-	}
-	if deadline.IsZero() {
-		select {
-		case f := <-s.ch:
-			return f, nil
-		case <-s.m.dead:
-			return muxFrame{}, core.NewFault(core.FaultExecutorLost, op, s.m.lostErr())
-		}
-	}
-	d := time.Until(deadline)
-	if d <= 0 {
-		cTimeouts.Inc()
-		s.m.destroy(fmt.Errorf("deadline expired during %s", op))
-		return muxFrame{}, core.Faultf(core.FaultTimeout, op, "deadline expired before %s reply", op)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case f := <-s.ch:
-		return f, nil
-	case <-s.m.dead:
-		return muxFrame{}, core.NewFault(core.FaultExecutorLost, op, s.m.lostErr())
-	case <-t.C:
-		cTimeouts.Inc()
-		s.m.destroy(fmt.Errorf("no %s reply within %v", op, d.Round(time.Millisecond)))
-		return muxFrame{}, core.Faultf(core.FaultTimeout, op, "no reply within %v (executor killed)", d.Round(time.Millisecond))
-	}
-}
-
 // sendTraceCtx precedes a traced invocation with a tagged msgTraceCtx
-// frame arming span recording on this stream.
+// frame arming span recording on this stream. Untraced invocations
+// send nothing.
 func (s *MuxStream) sendTraceCtx(ctx *core.Ctx) (bool, error) {
 	if ctx == nil || !ctx.Trace.Detailed() {
 		return false, nil
@@ -543,111 +576,82 @@ func (s *MuxStream) sendTraceCtx(ctx *core.Ctx) (bool, error) {
 	return true, nil
 }
 
-// Invoke evaluates one row on this stream, exactly mirroring
-// Executor.Invoke's semantics (callbacks served inline, merged
-// deadline, cloned result) over the tagged protocol.
-func (s *MuxStream) Invoke(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+// cross carries one invocation: it sends the payload (a pooled builder,
+// returned to the pool once written) as a frame of type typ, then
+// serves the UDF's callbacks until the reply of type want arrives. The
+// whole crossing, callbacks included, runs under the merged deadline of
+// the supervision policy's InvokeTimeout and ctx.Deadline. A msgError
+// reply is the UDF's own failure (FaultUDF); the executor survives it.
+func (s *MuxStream) cross(ctx *core.Ctx, typ, want byte, payload []byte) (f muxFrame, traced bool, err error) {
 	cInvocations.Inc()
 	deadline := deadlineFor(s.m.sup.InvokeTimeout, ctx)
-	traced, err := s.sendTraceCtx(ctx)
-	if err != nil {
-		return types.Value{}, err
+	traced, err = s.sendTraceCtx(ctx)
+	if err == nil {
+		err = s.m.send("invoke", typ, payload)
 	}
-	buf := takePayload()
-	buf = binary.AppendUvarint(buf, s.id)
+	putPayload(payload)
+	for err == nil {
+		if f, err = s.m.await(s.ch, "invoke", deadline); err != nil {
+			break
+		}
+		switch f.typ {
+		case want:
+			return f, traced, nil
+		case msgError:
+			r := &preader{buf: f.payload}
+			err = core.Faultf(core.FaultUDF, "invoke", "UDF failed: %s", r.str())
+		case msgCallback:
+			err = s.serveCallback(ctx, f.payload)
+		default:
+			err = s.m.fail(core.FaultProtocol, "invoke", fmt.Errorf("unexpected message %d during invoke", f.typ))
+		}
+	}
+	return muxFrame{}, false, err
+}
+
+// Invoke evaluates one row on this stream. Arguments and the result are
+// copied across the process boundary; callbacks made by the UDF are
+// served by ctx.Callback, each one a round trip.
+func (s *MuxStream) Invoke(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+	buf := binary.AppendUvarint(takePayload(), s.id)
 	buf = binary.AppendUvarint(buf, uint64(len(args)))
 	for _, a := range args {
 		buf = types.EncodeValue(buf, a)
 	}
-	err = s.m.send("invoke", msgInvoke, buf)
-	putPayload(buf)
+	f, traced, err := s.cross(ctx, msgInvoke, msgResult, buf)
 	if err != nil {
 		return types.Value{}, err
 	}
-	for {
-		f, err := s.await("invoke", deadline)
-		if err != nil {
-			return types.Value{}, err
-		}
-		switch f.typ {
-		case msgResult:
-			r := &preader{buf: f.payload}
-			v := r.value()
-			if r.err != nil {
-				s.m.destroy(fmt.Errorf("%w: bad result frame", errMuxProtocol))
-				return types.Value{}, core.NewFault(core.FaultProtocol, "invoke", r.err)
-			}
-			if traced {
-				if recs := decodeChildSpans(r); len(recs) > 0 {
-					ctx.Trace.Merge(recs, s.m.PID())
-				}
-			}
-			return v.Clone(), nil
-		case msgError:
-			r := &preader{buf: f.payload}
-			return types.Value{}, core.Faultf(core.FaultUDF, "invoke", "UDF failed: %s", r.str())
-		case msgCallback:
-			if err := s.serveCallback(ctx, f.payload); err != nil {
-				return types.Value{}, err
-			}
-		default:
-			s.m.destroy(fmt.Errorf("%w: unexpected message %d during invoke", errMuxProtocol, f.typ))
-			return types.Value{}, core.Faultf(core.FaultProtocol, "invoke", "unexpected message %d during invoke", f.typ)
-		}
+	r := &preader{buf: f.payload}
+	v := r.value()
+	if r.err != nil {
+		return types.Value{}, s.m.fail(core.FaultProtocol, "invoke", r.err)
 	}
+	if traced {
+		s.mergeChildSpans(ctx, r)
+	}
+	return v.Clone(), nil
 }
 
-// InvokeBatch evaluates len(out) rows in one crossing on this stream,
-// mirroring Executor.InvokeBatch.
+// InvokeBatch evaluates len(out) rows in one crossing on this stream
+// (msgInvokeBatch carries every argument vector; msgResultBatch carries
+// every result). Per-row UDF failures come back in out[i].Err and do
+// not poison sibling rows; a non-nil return is a whole-batch fault.
 func (s *MuxStream) InvokeBatch(ctx *core.Ctx, arity int, args []types.Value, out []core.BatchResult) error {
-	cInvocations.Inc()
-	deadline := deadlineFor(s.m.sup.InvokeTimeout, ctx)
-	traced, err := s.sendTraceCtx(ctx)
-	if err != nil {
-		return err
-	}
-	buf := takePayload()
-	buf = binary.AppendUvarint(buf, s.id)
+	buf := binary.AppendUvarint(takePayload(), s.id)
 	buf = binary.AppendUvarint(buf, uint64(len(out)))
 	buf = binary.AppendUvarint(buf, uint64(arity))
 	for _, a := range args {
 		buf = types.EncodeValue(buf, a)
 	}
-	err = s.m.send("invoke", msgInvokeBatch, buf)
-	putPayload(buf)
+	f, traced, err := s.cross(ctx, msgInvokeBatch, msgResultBatch, buf)
 	if err != nil {
 		return err
 	}
-	for {
-		f, err := s.await("invoke", deadline)
-		if err != nil {
-			return err
-		}
-		switch f.typ {
-		case msgResultBatch:
-			return s.decodeBatchResult(f.payload, out, ctx, traced)
-		case msgError:
-			r := &preader{buf: f.payload}
-			return core.Faultf(core.FaultUDF, "invoke", "UDF failed: %s", r.str())
-		case msgCallback:
-			if err := s.serveCallback(ctx, f.payload); err != nil {
-				return err
-			}
-		default:
-			s.m.destroy(fmt.Errorf("%w: unexpected message %d during batch invoke", errMuxProtocol, f.typ))
-			return core.Faultf(core.FaultProtocol, "invoke", "unexpected message %d during batch invoke", f.typ)
-		}
-	}
-}
-
-// decodeBatchResult unpacks a msgResultBatch payload into out, cloning
-// values out of the routing scratch.
-func (s *MuxStream) decodeBatchResult(payload []byte, out []core.BatchResult, ctx *core.Ctx, traced bool) error {
-	r := &preader{buf: payload}
+	r := &preader{buf: f.payload}
 	n := int(r.uvarint())
 	if r.err == nil && n != len(out) {
-		s.m.destroy(fmt.Errorf("%w: batch reply has %d rows, expected %d", errMuxProtocol, n, len(out)))
-		return core.Faultf(core.FaultProtocol, "invoke", "batch reply has %d rows, expected %d", n, len(out))
+		return s.m.fail(core.FaultProtocol, "invoke", fmt.Errorf("batch reply has %d rows, expected %d", n, len(out)))
 	}
 	for i := range out {
 		switch status := r.byte(); status {
@@ -668,21 +672,42 @@ func (s *MuxStream) decodeBatchResult(payload []byte, out []core.BatchResult, ct
 			}
 		}
 		if r.err != nil {
-			s.m.destroy(fmt.Errorf("%w: %v", errMuxProtocol, r.err))
-			return core.NewFault(core.FaultProtocol, "invoke", r.err)
+			return s.m.fail(core.FaultProtocol, "invoke", r.err)
 		}
 	}
 	decodeChildCPU(r, ctx)
 	if traced {
-		if recs := decodeChildSpans(r); len(recs) > 0 {
-			ctx.Trace.Merge(recs, s.m.PID())
-		}
+		s.mergeChildSpans(ctx, r)
 	}
 	return nil
 }
 
-// serveCallback answers one tagged callback request from this stream's
-// UDF (the dispatcher routed it here by stream ID).
+// decodeChildCPU consumes the CPU-attribution uvarint a child appends
+// after the rows of a msgResultBatch frame and accumulates it on the
+// invocation context. Like span tails, the value is diagnostics: a
+// missing or malformed tail is ignored rather than failing the
+// invocation (the rows already decoded), and the reader's error state
+// is reset so a traced span tail after it can still be attempted.
+func decodeChildCPU(r *preader, ctx *core.Ctx) {
+	cpu := r.uvarint()
+	if r.err != nil {
+		r.err = nil
+		return
+	}
+	ctx.AddReportedCPU(time.Duration(cpu))
+}
+
+// mergeChildSpans folds the span tail of a traced result frame into the
+// invocation's trace, attributed to the child's PID. A missing or
+// malformed tail is ignored: the result already decoded, and spans are
+// diagnostics.
+func (s *MuxStream) mergeChildSpans(ctx *core.Ctx, r *preader) {
+	if recs := decodeChildSpans(r); len(recs) > 0 {
+		ctx.Trace.Merge(recs, s.m.PID())
+	}
+}
+
+// serveCallback answers one callback request from this stream's UDF.
 func (s *MuxStream) serveCallback(ctx *core.Ctx, payload []byte) error {
 	r := &preader{buf: payload}
 	op := r.byte()
@@ -690,8 +715,7 @@ func (s *MuxStream) serveCallback(ctx *core.Ctx, payload []byte) error {
 	off := r.varint()
 	length := r.varint()
 	if r.err != nil {
-		s.m.destroy(fmt.Errorf("%w: bad callback frame", errMuxProtocol))
-		return core.NewFault(core.FaultProtocol, "callback", r.err)
+		return s.m.fail(core.FaultProtocol, "callback", r.err)
 	}
 	reply := func(payload []byte) error {
 		buf := append(binary.AppendUvarint(takePayload(), s.id), payload...)
@@ -734,8 +758,8 @@ func (s *MuxStream) serveCallback(ctx *core.Ctx, payload []byte) error {
 	}
 }
 
-// Close shuts the multiplexed executor down: polite tagged msgShutdown,
-// grace period, then SIGKILL — mirroring Executor.Close.
+// Close shuts the executor down: polite msgShutdown, a grace period,
+// then SIGKILL, so Close can never hang on a wedged child.
 func (m *MuxExecutor) Close() error {
 	if m.Alive() {
 		m.wmu.Lock()
@@ -748,7 +772,7 @@ func (m *MuxExecutor) Close() error {
 		case <-t.C:
 		}
 	}
-	m.destroy(fmt.Errorf("closed"))
+	m.destroy(core.FaultExecutor, errors.New("closed"))
 	<-m.waited
 	return nil
 }

@@ -246,7 +246,7 @@ func TestLateAttachRefused(t *testing.T) {
 	if iu.sup.InvokeTimeout == time.Nanosecond {
 		t.Fatal("late WithSupervision reconfigured a started UDF")
 	}
-	// The UDF must still work on its original dedicated executor; the
+	// The UDF must still work on its original private executor; the
 	// refused fleet would fail every crossing.
 	if out, err := u.Invoke(nil, []types.Value{types.NewBytes([]byte{2, 3})}); err != nil || out.Int != 5 {
 		t.Fatalf("invoke after refused reconfig = %v, %v", out, err)
@@ -287,22 +287,4 @@ func (failingMux) MuxInvoke(*core.Ctx, MuxSpec, []types.Value) (types.Value, err
 }
 func (failingMux) MuxInvokeBatch(*core.Ctx, MuxSpec, int, []types.Value, []core.BatchResult) error {
 	return core.Faultf(core.FaultExecutorLost, "invoke", "stub")
-}
-
-func TestMuxDedicatedProtocolUntouched(t *testing.T) {
-	// A dedicated executor that never sees msgOpenStream must keep the
-	// untagged protocol: this is implicitly pinned by every pre-fleet
-	// test, but assert the happy path explicitly next to the mux tests.
-	e, err := StartExecutor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.SetupNative("sumbytes"); err != nil {
-		t.Fatal(err)
-	}
-	out, err := e.Invoke(nil, []types.Value{types.NewBytes([]byte{10, 20})})
-	if err != nil || out.Int != 30 {
-		t.Fatalf("dedicated invoke = %v, %v", out, err)
-	}
 }

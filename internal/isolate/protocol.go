@@ -11,6 +11,14 @@
 // The executor is the same program binary re-executed with
 // ExecutorEnv set (call MaybeRunExecutor early in main or TestMain),
 // so native UDF implementations are available on both sides.
+//
+// There is one transport, MuxExecutor: a frame is a 4-byte little-endian
+// payload length, a type byte and the payload, and every payload in
+// both directions starts with a uvarint stream ID. Stream 0 carries the
+// ready, ping/pong and shutdown frames; each stream opened on an
+// executor carries one UDF binding and at most one invocation at a
+// time. A fleet slot carries the streams of many queries; a fleetless
+// or quarantined UDF owns a private executor with a single stream.
 package isolate
 
 import (
@@ -34,35 +42,28 @@ const maxFrame = 64 << 20
 // impossible frame (a babbling child), distinct from a broken pipe.
 var errFrameSize = errors.New("frame exceeds size limit")
 
-// Message types.
+// Message types. Each payload starts with the uvarint stream ID; the
+// comments list what follows it.
 const (
-	msgSetupNative byte = iota + 1 // name
-	msgSetupVM                     // class bytes, method, limits
-	msgInvoke                      // argc, values
+	msgInvoke      byte = iota + 1 // argc, values
 	msgResult                      // value
 	msgError                       // string
 	msgCallback                    // op, handle, off, len
 	msgCBResult                    // ok flag, payload
-	msgShutdown                    // none
-	msgReady                       // none
-	msgPing                        // none (health check)
-	msgPong                        // none (health check reply)
+	msgShutdown                    // none (stream 0)
+	msgReady                       // none (stream 0 at start; an opened stream)
+	msgPing                        // none (stream 0 health check)
+	msgPong                        // none (stream 0 health check reply)
 	msgInvokeBatch                 // n, arity, n*arity values (one crossing)
 	msgResultBatch                 // n, per row: status byte + value | error string
 	msgTraceCtx                    // trace id, parent span id (precedes a traced invoke)
-	msgOpenStream                  // sid, kind, setup (multiplexed executors only)
-	msgCloseStream                 // sid (multiplexed executors only)
+	msgOpenStream                  // kind, tenant, name, token, setup
+	msgCloseStream                 // none
 )
 
-// Stream-open kinds inside msgOpenStream frames. The first open a child
-// ever sees (streamCtl on stream 0) switches the connection into
-// multiplexed mode: from then on every frame payload in both directions
-// is prefixed with a uvarint stream ID. A child that never receives
-// msgOpenStream speaks the untagged dedicated-executor protocol,
-// byte-identical to every release before the fleet existed.
+// Stream-open kinds inside msgOpenStream frames.
 const (
-	streamCtl    byte = iota // control stream 0: enables mux mode
-	streamWarm               // bind a cached (tenant, UDF, token) warm entry; error if cold
+	streamWarm   byte = iota // bind a cached (tenant, UDF, token) warm entry; error if cold
 	streamNative             // bind a native UDF (name follows)
 	streamVM                 // bind a VM UDF (class/method/limits follow)
 )

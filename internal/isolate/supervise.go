@@ -19,7 +19,7 @@ type Supervision struct {
 	// callbacks. Zero means no per-invocation bound: only the
 	// statement deadline (core.Ctx.Deadline), if any, applies.
 	InvokeTimeout time.Duration
-	// PingTimeout bounds the pool's idle-executor health probe.
+	// PingTimeout bounds the fleet's idle-executor health probe.
 	PingTimeout time.Duration
 	// ShutdownGrace is how long Close waits for a polite exit before
 	// escalating to SIGKILL.
@@ -123,12 +123,12 @@ func ReadStats() Stats {
 	}
 }
 
-// startSupervised launches an executor and runs setup on it, retrying
-// with exponential backoff on start/setup failures up to
-// sup.MaxRestarts times. Deterministic rejections (FaultUDF — unknown
-// native name, corrupt class) are returned immediately: restarting
-// cannot fix the UDF itself.
-func startSupervised(sup Supervision, setup func(*Executor) error) (*Executor, error) {
+// startSupervised launches a private executor and opens the UDF's
+// stream on it, retrying with exponential backoff on start/setup
+// failures up to sup.MaxRestarts times. Deterministic rejections
+// (FaultUDF — unknown native name, corrupt class) are returned
+// immediately: restarting cannot fix the UDF itself.
+func startSupervised(sup Supervision, spec MuxSpec) (*MuxStream, error) {
 	sup = sup.withDefaults()
 	backoff := sup.RestartBackoff
 	var err error
@@ -141,17 +141,13 @@ func startSupervised(sup Supervision, setup func(*Executor) error) (*Executor, e
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		var e *Executor
-		e, err = StartExecutorWith(sup)
-		if err == nil {
-			if setup == nil {
-				return e, nil
+		var m *MuxExecutor
+		if m, err = startMux(sup, true); err == nil {
+			var s *MuxStream
+			if s, _, err = m.OpenStream("", spec.UDF, spec.Token, spec.Setup); err == nil {
+				return s, nil
 			}
-			err = setup(e)
-			if err == nil {
-				return e, nil
-			}
-			e.Close()
+			m.Close()
 			if core.FaultClassOf(err) == core.FaultUDF {
 				return nil, err
 			}

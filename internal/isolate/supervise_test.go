@@ -24,6 +24,18 @@ var fastSup = Supervision{
 
 func sumArgs() []types.Value { return []types.Value{types.NewBytes([]byte{1, 2})} }
 
+// startOwnT starts a private executor with one sumbytes stream, as a
+// fleetless UDF does, and ties its lifetime to the test.
+func startOwnT(t *testing.T, sup Supervision) *MuxStream {
+	t.Helper()
+	s, err := startSupervised(sup, MuxSpec{UDF: "sumbytes", Setup: StreamSetup{Native: "sumbytes"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.m.Close() })
+	return s
+}
+
 // reaped reports whether the pid no longer exists (SIGKILLed child has
 // been waited on — no zombie left behind).
 func reaped(pid int) bool {
@@ -36,17 +48,10 @@ func reaped(pid int) bool {
 // killed and reaped (no zombie), and the engine keeps working.
 func TestHungUDFTimesOutAndReaps(t *testing.T) {
 	t.Setenv(FaultEnv, "invoke:hang")
-	e, err := StartExecutorWith(fastSup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.SetupNative("sumbytes"); err != nil {
-		t.Fatal(err)
-	}
-	pid := e.PID()
+	s := startOwnT(t, fastSup)
+	pid := s.m.PID()
 	start := time.Now()
-	_, err = e.Invoke(nil, sumArgs())
+	_, err := s.Invoke(nil, sumArgs())
 	elapsed := time.Since(start)
 	if core.FaultClassOf(err) != core.FaultTimeout {
 		t.Fatalf("hung UDF returned %v (class %v), want FaultTimeout", err, core.FaultClassOf(err))
@@ -57,7 +62,7 @@ func TestHungUDFTimesOutAndReaps(t *testing.T) {
 	if !reaped(pid) {
 		t.Errorf("child %d still exists after timeout kill (zombie or leak)", pid)
 	}
-	if e.Alive() {
+	if s.m.Alive() {
 		t.Error("executor handle still reports alive after fatal fault")
 	}
 
@@ -109,16 +114,9 @@ func TestBabblingExecutorClassified(t *testing.T) {
 	// The child corrupts the frame stream before sending its result: the
 	// parent must classify a protocol fault and kill the process.
 	t.Setenv(FaultEnv, "result:corrupt")
-	e, err := StartExecutorWith(fastSup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := e.SetupNative("sumbytes"); err != nil {
-		t.Fatal(err)
-	}
-	pid := e.PID()
-	_, err = e.Invoke(nil, sumArgs())
+	s := startOwnT(t, fastSup)
+	pid := s.m.PID()
+	_, err := s.Invoke(nil, sumArgs())
 	if core.FaultClassOf(err) != core.FaultProtocol {
 		t.Fatalf("err = %v (class %v), want FaultProtocol", err, core.FaultClassOf(err))
 	}
@@ -160,7 +158,7 @@ func TestStartHangTimesOut(t *testing.T) {
 	sup := fastSup
 	sup.StartTimeout = 300 * time.Millisecond
 	sup.MaxRestarts = 0
-	_, err := StartExecutorWith(sup)
+	_, err := StartMux(sup)
 	if core.FaultClassOf(err) != core.FaultTimeout {
 		t.Fatalf("err = %v (class %v), want FaultTimeout", err, core.FaultClassOf(err))
 	}
@@ -185,20 +183,14 @@ func TestCloseEscalatesToKill(t *testing.T) {
 	// return within the grace period plus slack by escalating to
 	// SIGKILL, and the child must be reaped.
 	t.Setenv(FaultEnv, "shutdown:hang")
-	e, err := StartExecutorWith(fastSup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetupNative("sumbytes"); err != nil {
-		t.Fatal(err)
-	}
-	if out, err := e.Invoke(nil, sumArgs()); err != nil || out.Int != 3 {
+	s := startOwnT(t, fastSup)
+	if out, err := s.Invoke(nil, sumArgs()); err != nil || out.Int != 3 {
 		t.Fatalf("invoke before close = %v, %v", out, err)
 	}
-	pid := e.PID()
+	pid := s.m.PID()
 	start := time.Now()
 	closed := make(chan struct{})
-	go func() { e.Close(); close(closed) }()
+	go func() { s.m.Close(); close(closed) }()
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
@@ -213,7 +205,7 @@ func TestCloseEscalatesToKill(t *testing.T) {
 }
 
 func TestPingHealthCheck(t *testing.T) {
-	e, err := StartExecutorWith(fastSup)
+	e, err := StartMux(fastSup)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,11 @@ import (
 )
 
 // udf implements core.UDF over an executor process, covering Design 2
-// (native isolated) and Design 4 (VM isolated). The executor is
-// started lazily on the first invocation and reused until Close —
-// analogous to the paper's one-executor-per-UDF-per-query lifecycle
-// with its startup cost amortized over the relation's tuples.
+// (native isolated) and Design 4 (VM isolated). Without a fleet the UDF
+// owns a private executor with a single stream, started lazily on the
+// first invocation and reused until Close — analogous to the paper's
+// one-executor-per-UDF-per-query lifecycle with its startup cost
+// amortized over the relation's tuples.
 type udf struct {
 	name   string
 	args   []types.Kind
@@ -39,10 +40,12 @@ type udf struct {
 	prog *inline.Program
 	bail string
 
-	mu   sync.Mutex
-	exec *Executor
-	mux  Multiplexer  // optional shared executor fleet; nil = own executor
-	tok  atomic.Value // cached setup fingerprint (string)
+	// mu serializes crossings on the private executor and guards own,
+	// its sole stream (nil until started, and again after a fault).
+	mu  sync.Mutex
+	own *MuxStream
+	mux Multiplexer  // optional shared executor fleet; nil = own executor
+	tok atomic.Value // cached setup fingerprint (string)
 
 	// started latches on the first Invoke: from then on the execution
 	// topology (fleet, supervision) is frozen and late attach
@@ -52,9 +55,10 @@ type udf struct {
 
 	// brk is the per-UDF circuit breaker (created lazily so it sees the
 	// final supervision config). quarantined flips when the breaker of a
-	// fleet-shared UDF opens: from then on the UDF runs on its
-	// own dedicated executor and never touches shared processes again,
-	// so a crash-looping UDF cannot poison healthy tenants' executors.
+	// fleet-shared UDF opens: from then on the UDF runs on its own
+	// private executor and never touches shared processes again, so a
+	// crash-looping UDF cannot poison healthy tenants' executors.
+	brkOnce     sync.Once
 	brk         *govern.Breaker
 	quarantined atomic.Bool
 }
@@ -156,10 +160,10 @@ func WithSupervision(u core.UDF, sup Supervision) core.UDF {
 }
 
 // WithFleet routes the UDF's crossings through a shared multiplexed
-// executor fleet instead of a dedicated process. Must be called before
+// executor fleet instead of a private executor. Must be called before
 // the first Invoke; later calls are ignored with an error log. A
 // quarantined UDF (breaker opened on fatal faults) leaves the fleet
-// for a dedicated executor.
+// for a private executor.
 func WithFleet(u core.UDF, m Multiplexer) core.UDF {
 	iu, ok := u.(*udf)
 	if !ok || iu.lateAttach("WithFleet") {
@@ -173,13 +177,6 @@ func (u *udf) Name() string           { return u.name }
 func (u *udf) ArgKinds() []types.Kind { return u.args }
 func (u *udf) ReturnKind() types.Kind { return u.ret }
 func (u *udf) Design() core.Design    { return u.design }
-
-func (u *udf) setup(e *Executor) error {
-	if u.vm != nil {
-		return e.SetupVM(*u.vm)
-	}
-	return e.SetupNative(u.nativeName)
-}
 
 // muxSpec describes this UDF to the fleet. The token fingerprints the
 // setup payload (class bytes, method, limits or native name), so a
@@ -205,34 +202,39 @@ func (u *udf) muxSpec() MuxSpec {
 	return MuxSpec{UDF: u.name, Token: tok, Setup: StreamSetup{Native: u.nativeName, VM: u.vm}}
 }
 
-// executor returns the UDF's executor, starting (with bounded
-// restart-and-backoff) if needed.
-func (u *udf) executor() (*Executor, error) {
+// onOwn runs one crossing on the UDF's private executor, starting it
+// (with bounded restart-and-backoff) if needed. Crossings serialize on
+// u.mu. Any fault but a plain UDF error drops the executor so the next
+// crossing starts a fresh one — as does a UDF error the child died
+// right after reporting (a dying gasp).
+func (u *udf) onOwn(cross func(*MuxStream) error) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.exec != nil {
-		return u.exec, nil
+	if u.own == nil {
+		s, err := startSupervised(u.sup, u.muxSpec())
+		if err != nil {
+			return err
+		}
+		u.own = s
 	}
-	e, err := startSupervised(u.sup, u.setup)
-	if err != nil {
-		return nil, err
+	err := cross(u.own)
+	if err != nil && (core.FaultClassOf(err) != core.FaultUDF || !u.own.m.Alive()) {
+		u.own.m.Close()
+		u.own = nil
 	}
-	u.exec = e
-	return e, nil
+	return err
 }
 
 // breaker returns the UDF's circuit breaker, building it on first use
 // so it reflects the final WithSupervision configuration.
 func (u *udf) breaker() *govern.Breaker {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.brk == nil {
+	u.brkOnce.Do(func() {
 		u.brk = govern.NewBreaker(u.name, govern.BreakerConfig{
 			Failures: u.sup.BreakerFailures,
 			Window:   u.sup.BreakerWindow,
 			Cooldown: u.sup.BreakerCooldown,
 		})
-	}
+	})
 	return u.brk
 }
 
@@ -249,7 +251,7 @@ func (u *udf) BreakerStatus() (govern.BreakerStatus, bool) {
 // charged as parent-side occupancy, so the window total stays the
 // crossing's wall time without double-counting. A fatal fault that
 // opens the breaker of a fleet UDF quarantines it: its next crossing
-// binds a dedicated executor.
+// starts a private executor.
 func (u *udf) record(b *govern.Breaker, ctx *core.Ctx, start time.Time, err error) {
 	if ctx != nil {
 		wall := time.Since(start)
@@ -302,48 +304,25 @@ func (u *udf) Invoke(ctx *core.Ctx, args []types.Value) (types.Value, error) {
 	}
 	core.CountCrossings(u.design, 1)
 	start := time.Now()
+	var out types.Value
+	var err error
 	if u.useMux() {
-		out, err := u.mux.MuxInvoke(ctx, u.muxSpec(), args)
-		countFault(err)
-		u.record(b, ctx, start, err)
-		return out, err
+		out, err = u.mux.MuxInvoke(ctx, u.muxSpec(), args)
+	} else {
+		err = u.onOwn(func(s *MuxStream) (err error) {
+			out, err = s.Invoke(ctx, args)
+			return err
+		})
 	}
-	e, err := u.executor()
-	if err != nil {
-		countFault(err)
-		u.record(b, ctx, start, err)
-		return types.Value{}, err
-	}
-	out, err := e.Invoke(ctx, args)
 	countFault(err)
 	u.record(b, ctx, start, err)
-	if err != nil && (core.FaultClassOf(err) != core.FaultUDF || !e.Alive()) {
-		// The executor died, babbled or timed out (the supervisor has
-		// already killed and reaped it). Drop the handle so the next
-		// invocation gets a fresh one; a plain UDF error keeps it —
-		// unless the child died right after reporting it (a dying
-		// gasp), in which case the handle is useless too.
-		u.dropExecutor(e)
-		return types.Value{}, err
-	}
 	return out, err
-}
-
-// dropExecutor discards a broken executor handle so the next invocation
-// starts a fresh one.
-func (u *udf) dropExecutor(e *Executor) {
-	u.mu.Lock()
-	if u.exec == e {
-		u.exec = nil
-	}
-	u.mu.Unlock()
-	e.Close()
 }
 
 // InvokeBatch carries the whole batch across the process boundary in a
 // single crossing — the amortization Designs 2 and 4 exist for. A batch
-// of one takes the scalar path, so batch size 1 stays byte-identical to
-// the legacy protocol (faults, timeouts and callbacks included).
+// of one takes the scalar path (msgInvoke), so batch cap 1 stays the
+// paper's one-crossing-per-tuple condition.
 func (u *udf) InvokeBatch(ctx *core.Ctx, arity int, args []types.Value, out []core.BatchResult) error {
 	if err := core.CheckBatchShape(u, arity, args, out); err != nil {
 		return err
@@ -374,34 +353,24 @@ func (u *udf) InvokeBatch(ctx *core.Ctx, arity int, args []types.Value, out []co
 	core.CountCrossings(u.design, 1)
 	core.ObserveBatchRows(u.design, int64(n))
 	start := time.Now()
+	var err error
 	if u.useMux() {
-		err := u.mux.MuxInvokeBatch(ctx, u.muxSpec(), arity, args, out)
-		countFault(err)
-		u.record(b, ctx, start, err)
-		return err
+		err = u.mux.MuxInvokeBatch(ctx, u.muxSpec(), arity, args, out)
+	} else {
+		err = u.onOwn(func(s *MuxStream) error { return s.InvokeBatch(ctx, arity, args, out) })
 	}
-	e, err := u.executor()
-	if err != nil {
-		countFault(err)
-		u.record(b, ctx, start, err)
-		return err
-	}
-	err = e.InvokeBatch(ctx, arity, args, out)
 	countFault(err)
 	u.record(b, ctx, start, err)
-	if err != nil && (core.FaultClassOf(err) != core.FaultUDF || !e.Alive()) {
-		u.dropExecutor(e)
-	}
 	return err
 }
 
 func (u *udf) Close() error {
 	u.mu.Lock()
-	e := u.exec
-	u.exec = nil
+	s := u.own
+	u.own = nil
 	u.mu.Unlock()
-	if e != nil {
-		return e.Close()
+	if s != nil {
+		return s.m.Close()
 	}
 	return nil
 }
