@@ -5,12 +5,14 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
+	"predator/internal/frame"
 	"predator/internal/storage"
 	"predator/internal/types"
 )
@@ -261,40 +263,35 @@ func (c *Catalog) Flush() error {
 // Catalog record encoding
 
 func encodeTable(t *Table) []byte {
-	buf := []byte{entryTable}
-	buf = appendString(buf, t.Name)
+	buf := frame.AppendString([]byte{entryTable}, t.Name)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.FirstPage))
 	buf = binary.AppendUvarint(buf, uint64(t.Schema.Arity()))
 	for _, col := range t.Schema.Columns {
-		buf = appendString(buf, col.Name)
-		buf = append(buf, byte(col.Kind))
+		buf = append(frame.AppendString(buf, col.Name), byte(col.Kind))
 	}
 	return buf
 }
 
+// Records are read with the payload cursor the wire and the executor
+// pipe use; a record is a page slice, so kept bytes are cloned.
 func decodeTable(rec []byte) (*Table, error) {
-	r := reader{buf: rec, off: 1}
+	r := frame.Cursor{Buf: rec, Off: 1}
 	t := &Table{}
-	t.Name = r.str()
-	t.FirstPage = storage.PageID(r.u32())
-	n := int(r.uvarint())
-	schema := &types.Schema{Columns: make([]types.Column, 0, n)}
-	for i := 0; i < n; i++ {
-		name := r.str()
-		kind := types.Kind(r.byte())
-		schema.Columns = append(schema.Columns, types.Column{Name: name, Kind: kind})
+	t.Name = r.Str()
+	t.FirstPage = storage.PageID(binary.LittleEndian.Uint32([]byte{r.Byte(), r.Byte(), r.Byte(), r.Byte()}))
+	schema := &types.Schema{Columns: make([]types.Column, r.Count(2))}
+	for i := range schema.Columns {
+		schema.Columns[i] = types.Column{Name: r.Str(), Kind: types.Kind(r.Byte())}
 	}
 	t.Schema = schema
-	if r.err != nil {
-		return nil, fmt.Errorf("catalog: corrupt table record: %w", r.err)
+	if r.Err != nil {
+		return nil, fmt.Errorf("catalog: corrupt table record: %w", r.Err)
 	}
 	return t, nil
 }
 
 func encodeFunction(f *Function) []byte {
-	buf := []byte{entryFunction}
-	buf = appendString(buf, f.Name)
-	buf = appendString(buf, f.Language)
+	buf := frame.AppendString(frame.AppendString([]byte{entryFunction}, f.Name), f.Language)
 	if f.Isolated {
 		buf = append(buf, 1)
 	} else {
@@ -304,103 +301,25 @@ func encodeFunction(f *Function) []byte {
 	for _, k := range f.ArgKinds {
 		buf = append(buf, byte(k))
 	}
-	buf = append(buf, byte(f.Return))
-	buf = appendString(buf, f.Owner)
-	buf = binary.AppendUvarint(buf, uint64(len(f.Code)))
-	buf = append(buf, f.Code...)
-	return buf
+	buf = frame.AppendString(append(buf, byte(f.Return)), f.Owner)
+	return frame.AppendBytes(buf, f.Code)
 }
 
 func decodeFunction(rec []byte) (*Function, error) {
-	r := reader{buf: rec, off: 1}
+	r := frame.Cursor{Buf: rec, Off: 1}
 	f := &Function{}
-	f.Name = r.str()
-	f.Language = r.str()
-	f.Isolated = r.byte() != 0
-	n := int(r.uvarint())
-	f.ArgKinds = make([]types.Kind, n)
-	for i := 0; i < n; i++ {
-		f.ArgKinds[i] = types.Kind(r.byte())
+	f.Name = r.Str()
+	f.Language = r.Str()
+	f.Isolated = r.Byte() != 0
+	f.ArgKinds = make([]types.Kind, r.Count(1))
+	for i := range f.ArgKinds {
+		f.ArgKinds[i] = types.Kind(r.Byte())
 	}
-	f.Return = types.Kind(r.byte())
-	f.Owner = r.str()
-	codeLen := int(r.uvarint())
-	f.Code = r.bytes(codeLen)
-	if r.err != nil {
-		return nil, fmt.Errorf("catalog: corrupt function record: %w", r.err)
+	f.Return = types.Kind(r.Byte())
+	f.Owner = r.Str()
+	f.Code = bytes.Clone(r.Bytes())
+	if r.Err != nil {
+		return nil, fmt.Errorf("catalog: corrupt function record: %w", r.Err)
 	}
 	return f, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// reader is a tiny cursor used to decode catalog records.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("truncated at offset %d", r.off)
-	}
-}
-
-func (r *reader) byte() byte {
-	if r.err != nil || r.off >= len(r.buf) {
-		r.fail()
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += n
-	return out
-}
-
-func (r *reader) str() string {
-	n := int(r.uvarint())
-	if r.err != nil || r.off+n > len(r.buf) {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
 }

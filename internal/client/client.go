@@ -10,11 +10,14 @@
 package client
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 
+	"predator/internal/frame"
 	"predator/internal/jaguar"
 	"predator/internal/jvm"
 	"predator/internal/types"
@@ -50,9 +53,7 @@ func Dial(addr, user string) (*Client, error) {
 		c:    wire.NewConn(conn),
 		vm:   jvm.New(jvm.Options{Security: jvm.DefaultPolicy()}),
 	}
-	w := &wire.Writer{}
-	w.Str(user)
-	if err := cl.c.Send(wire.MsgHello, w.Buf); err != nil {
+	if err := cl.c.Send(wire.MsgHello, frame.AppendString(nil, user)); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -113,9 +114,7 @@ func decodeError(typ byte, payload []byte) error {
 func (cl *Client) Exec(sql string) (*Result, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	w := &wire.Writer{}
-	w.Str(sql)
-	if err := cl.c.Send(wire.MsgQuery, w.Buf); err != nil {
+	if err := cl.c.Send(wire.MsgQuery, frame.AppendString(nil, sql)); err != nil {
 		return nil, err
 	}
 	typ, payload, err := cl.c.Recv()
@@ -154,9 +153,7 @@ func (cl *Client) Ping() error {
 func (cl *Client) PutObject(data []byte) (int64, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	w := &wire.Writer{}
-	w.Bytes(data)
-	if err := cl.c.Send(wire.MsgPutObject, w.Buf); err != nil {
+	if err := cl.c.Send(wire.MsgPutObject, frame.AppendBytes(nil, data)); err != nil {
 		return 0, err
 	}
 	typ, payload, err := cl.c.Recv()
@@ -166,7 +163,7 @@ func (cl *Client) PutObject(data []byte) (int64, error) {
 	if typ != wire.MsgHandle {
 		return 0, decodeError(typ, payload)
 	}
-	r := &wire.Reader{Buf: payload}
+	r := frame.Cursor{Buf: payload}
 	h := r.Varint()
 	return h, r.Err
 }
@@ -235,26 +232,13 @@ func (cl *Client) Register(spec UDFSpec, classBytes []byte) error {
 	if method == "" {
 		method = spec.Name
 	}
-	w := &wire.Writer{}
-	w.Str(spec.Name)
-	w.Str(method)
-	w.Bytes(classBytes)
-	w.Uvarint(uint64(len(spec.Args)))
+	w := frame.AppendBytes(frame.AppendString(frame.AppendString(nil, spec.Name), method), classBytes)
+	w = binary.AppendUvarint(w, uint64(len(spec.Args)))
 	for _, k := range spec.Args {
-		w.Byte(byte(k))
+		w = append(w, byte(k))
 	}
-	w.Byte(byte(spec.Return))
-	if spec.Isolated {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
-	if spec.Persist {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
-	if err := cl.c.Send(wire.MsgRegister, w.Buf); err != nil {
+	w = append(w, byte(spec.Return), flag(spec.Isolated), flag(spec.Persist))
+	if err := cl.c.Send(wire.MsgRegister, w); err != nil {
 		return err
 	}
 	typ, payload, err := cl.c.Recv()
@@ -282,9 +266,7 @@ func (cl *Client) CreateUDF(spec UDFSpec) error {
 func (cl *Client) FetchClass(name string) (classBytes []byte, args []types.Kind, ret types.Kind, err error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	w := &wire.Writer{}
-	w.Str(name)
-	if err := cl.c.Send(wire.MsgFetchClass, w.Buf); err != nil {
+	if err := cl.c.Send(wire.MsgFetchClass, frame.AppendString(nil, name)); err != nil {
 		return nil, nil, 0, err
 	}
 	typ, payload, err := cl.c.Recv()
@@ -294,14 +276,22 @@ func (cl *Client) FetchClass(name string) (classBytes []byte, args []types.Kind,
 	if typ != wire.MsgClass {
 		return nil, nil, 0, decodeError(typ, payload)
 	}
-	r := &wire.Reader{Buf: payload}
+	r := frame.Cursor{Buf: payload}
 	_ = r.Str() // canonical name
-	classBytes = r.Bytes()
-	n := int(r.Uvarint())
-	args = make([]types.Kind, n)
+	// The caller keeps the class: copy it out of the receive buffer.
+	classBytes = bytes.Clone(r.Bytes())
+	args = make([]types.Kind, r.Count(1))
 	for i := range args {
 		args[i] = types.Kind(r.Byte())
 	}
 	ret = types.Kind(r.Byte())
 	return classBytes, args, ret, r.Err
+}
+
+// flag encodes a boolean as one payload byte.
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,10 +1,12 @@
 package client
 
 import (
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
 
+	"predator/internal/frame"
 	"predator/internal/types"
 	"predator/internal/wire"
 )
@@ -35,7 +37,7 @@ func helloOK(fn func(c *wire.Conn)) func(c *wire.Conn) {
 		if err != nil || typ != wire.MsgHello {
 			return
 		}
-		c.Send(wire.MsgOK, (&wire.Writer{}).Str("hi").Buf)
+		c.Send(wire.MsgOK, frame.AppendString(nil, "hi"))
 		fn(c)
 	}
 }
@@ -43,7 +45,7 @@ func helloOK(fn func(c *wire.Conn)) func(c *wire.Conn) {
 func TestDialRejectsNonOKHello(t *testing.T) {
 	addr := fakeServer(t, func(c *wire.Conn) {
 		c.Recv()
-		c.Send(wire.MsgError, (&wire.Writer{}).Str("go away").Buf)
+		c.Send(wire.MsgError, frame.AppendString(nil, "go away"))
 	})
 	if _, err := Dial(addr, "x"); err == nil || !strings.Contains(err.Error(), "go away") {
 		t.Errorf("err = %v", err)
@@ -65,7 +67,7 @@ func TestDialFailsOnClosedPort(t *testing.T) {
 func TestExecUnexpectedResponseType(t *testing.T) {
 	addr := fakeServer(t, helloOK(func(c *wire.Conn) {
 		c.Recv()
-		c.Send(wire.MsgHandle, (&wire.Writer{}).Varint(1).Buf) // wrong type
+		c.Send(wire.MsgHandle, binary.AppendVarint(nil, 1)) // wrong type
 	}))
 	cl, err := Dial(addr, "x")
 	if err != nil {

@@ -263,3 +263,18 @@ func TestCheckArgsAllowsNull(t *testing.T) {
 		t.Errorf("NULL arg rejected: %v", err)
 	}
 }
+
+// A fault names its class and operation, not the isolate layer: a
+// disk-full statement or an overload shed has nothing to do with
+// executor processes.
+func TestFaultMessageNamesNoLayer(t *testing.T) {
+	for _, f := range []*Fault{
+		Faultf(FaultDiskFull, "statement", "no space left on device"),
+		Faultf(FaultOverload, "admit", "queue full"),
+	} {
+		msg := f.Error()
+		if strings.Contains(msg, "isolate") || !strings.HasPrefix(msg, f.Class.String()+" fault during "+f.Op) {
+			t.Errorf("fault message %q", msg)
+		}
+	}
+}

@@ -106,7 +106,7 @@ func Faultf(class FaultClass, op, format string, args ...any) *Fault {
 
 // Error implements error.
 func (f *Fault) Error() string {
-	return fmt.Sprintf("isolate: %s fault during %s: %v", f.Class, f.Op, f.Err)
+	return fmt.Sprintf("%s fault during %s: %v", f.Class, f.Op, f.Err)
 }
 
 // Unwrap exposes the cause to errors.Is/As.

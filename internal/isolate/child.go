@@ -1,6 +1,7 @@
 package isolate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"predator/internal/core"
+	"predator/internal/frame"
 	"predator/internal/jvm"
 	"predator/internal/types"
 )
@@ -49,10 +51,10 @@ const warmCacheCap = 64
 // ping/pong and shutdown frames; every stream opened by msgOpenStream
 // has its own UDF binding, and all of them share the single pipe.
 func RunExecutor(r io.Reader, w io.Writer, natives NativeTable) error {
-	c := newConn(r, w)
+	c := frame.NewConn(r, w)
 	fault := parseFaultSpec(os.Getenv(FaultEnv))
 	fault.fire("ready", c)
-	if err := c.send(msgReady, binary.AppendUvarint(nil, 0)); err != nil {
+	if err := c.Send(msgReady, binary.AppendUvarint(nil, 0)); err != nil {
 		return err
 	}
 	st := &childState{
@@ -61,20 +63,16 @@ func RunExecutor(r io.Reader, w io.Writer, natives NativeTable) error {
 		warm:    make(map[string]*warmEntry),
 	}
 	for {
-		var f frame
+		var f muxFrame
+		var err error
 		if len(st.pending) > 0 {
 			// Frames that arrived while a callback round trip owned the
 			// pipe were queued; drain them before reading fresh input.
-			f = st.pending[0]
-			st.pending = st.pending[1:]
-		} else {
-			var err error
-			if f, err = c.recv(); err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil
-				}
-				return err
-			}
+			f, st.pending = st.pending[0], st.pending[1:]
+		} else if f.typ, f.payload, err = c.Recv(); errors.Is(err, io.EOF) {
+			return nil
+		} else if err != nil {
+			return err
 		}
 		if done, err := st.handle(f.typ, f.payload); done || err != nil {
 			return err
@@ -112,7 +110,7 @@ type warmEntry struct {
 
 // childState is the executor's protocol state.
 type childState struct {
-	conn    *conn
+	conn    *frame.Conn
 	natives NativeTable
 	fault   *faultPlan
 
@@ -124,7 +122,7 @@ type childState struct {
 	warmSeq uint64
 	cur     *childStream
 	curSID  uint64
-	pending []frame
+	pending []muxFrame
 
 	// argBuf/respBuf are grow-only scratch buffers: invoke frames are
 	// copied out of the connection's receive scratch (which a nested
@@ -150,18 +148,17 @@ func (st *childState) tag(buf []byte) []byte {
 // handle dispatches one frame. Every payload starts with the uvarint
 // stream ID; the remainder is the frame type's own encoding.
 func (st *childState) handle(typ byte, payload []byte) (done bool, err error) {
-	r := &preader{buf: payload}
-	sid := r.uvarint()
-	if r.err != nil {
+	r := &frame.Cursor{Buf: payload}
+	sid := r.Uvarint()
+	if r.Err != nil {
 		st.curSID = 0
-		st.fail("bad stream tag on message %d: %v", typ, r.err)
+		st.fail("bad stream tag on message %d: %v", typ, r.Err)
 		return false, nil
 	}
-	rest := payload[r.off:]
 	st.curSID = sid
 	switch typ {
 	case msgOpenStream:
-		st.openStream(sid, rest)
+		st.openStream(sid, r)
 	case msgCloseStream:
 		delete(st.streams, sid)
 	case msgInvoke, msgInvokeBatch:
@@ -174,17 +171,17 @@ func (st *childState) handle(typ byte, payload []byte) (done bool, err error) {
 		st.traced = s.traced
 		s.traced = false
 		st.fault.fire("invoke", st.conn)
+		args := st.stable(r)
 		if typ == msgInvoke {
-			st.invoke(st.stable(rest))
+			st.invoke(&args)
 		} else {
-			st.invokeBatch(st.stable(rest))
+			st.invokeBatch(&args)
 		}
 	case msgTraceCtx:
-		tr := &preader{buf: rest}
-		tr.uvarint() // trace ID
-		tr.uvarint() // parent span ID
-		if tr.err != nil {
-			st.fail("bad trace frame: %v", tr.err)
+		r.Uvarint() // trace ID
+		r.Uvarint() // parent span ID
+		if r.Err != nil {
+			st.fail("bad trace frame: %v", r.Err)
 			return false, nil
 		}
 		if s := st.streams[sid]; s != nil {
@@ -192,7 +189,7 @@ func (st *childState) handle(typ byte, payload []byte) (done bool, err error) {
 		}
 	case msgPing:
 		st.curSID = 0
-		if err := st.conn.send(msgPong, st.tag(nil)); err != nil {
+		if err := st.conn.Send(msgPong, st.tag(nil)); err != nil {
 			return false, err
 		}
 	case msgShutdown:
@@ -209,14 +206,13 @@ func (st *childState) handle(typ byte, payload []byte) (done bool, err error) {
 // setup; streamNative/streamVM fire the setup fault point, run a full
 // setup and deposit the binding in the warm cache for future streams
 // keyed the same way.
-func (st *childState) openStream(sid uint64, payload []byte) {
-	r := &preader{buf: payload}
-	kind := r.byte()
-	tenant := r.str()
-	name := r.str()
-	token := r.str()
-	if r.err != nil {
-		st.fail("bad open-stream frame: %v", r.err)
+func (st *childState) openStream(sid uint64, r *frame.Cursor) {
+	kind := r.Byte()
+	tenant := r.Str()
+	name := r.Str()
+	token := r.Str()
+	if r.Err != nil {
+		st.fail("bad open-stream frame: %v", r.Err)
 		return
 	}
 	key := warmKey(tenant, name, token)
@@ -237,12 +233,12 @@ func (st *childState) openStream(sid uint64, payload []byte) {
 		var b *binding
 		var err error
 		if kind == streamNative {
-			b, err = st.bindNative(r.str())
+			b, err = st.bindNative(r.Str())
 		} else {
 			b, err = st.bindVM(r)
 		}
-		if r.err != nil {
-			st.fail("bad open-stream frame: %v", r.err)
+		if r.Err != nil {
+			st.fail("bad open-stream frame: %v", r.Err)
 			return
 		}
 		if err != nil {
@@ -257,7 +253,7 @@ func (st *childState) openStream(sid uint64, payload []byte) {
 		return
 	}
 	st.streams[sid] = s
-	_ = st.conn.send(msgReady, st.tag(nil))
+	_ = st.conn.Send(msgReady, st.tag(nil))
 }
 
 // warmKey builds the warm-cache key. The token fingerprints the setup
@@ -312,12 +308,12 @@ func (st *childState) sealSpans(resp []byte) []byte {
 	return resp
 }
 
-// stable copies a frame payload into the child's own scratch so the
-// decoded argument values stay valid across callback round trips that
-// reuse the connection's receive buffer.
-func (st *childState) stable(payload []byte) []byte {
-	st.argBuf = append(st.argBuf[:0], payload...)
-	return st.argBuf
+// stable copies the rest of a frame payload into the child's own
+// scratch so the decoded argument values stay valid across callback
+// round trips that reuse the connection's receive buffer.
+func (st *childState) stable(r *frame.Cursor) frame.Cursor {
+	st.argBuf = append(st.argBuf[:0], r.Rest()...)
+	return frame.Cursor{Buf: st.argBuf}
 }
 
 func (st *childState) fail(format string, args ...any) {
@@ -325,7 +321,7 @@ func (st *childState) fail(format string, args ...any) {
 	// do not leak into a later (differently traced) shipment.
 	st.traced = false
 	st.spans = st.spans[:0]
-	_ = st.conn.send(msgError, appendString(st.tag(nil), fmt.Sprintf(format, args...)))
+	_ = st.conn.Send(msgError, frame.AppendString(st.tag(nil), fmt.Sprintf(format, args...)))
 }
 
 // bindNative resolves a native UDF binding.
@@ -339,13 +335,13 @@ func (st *childState) bindNative(name string) (*binding, error) {
 
 // bindVM loads and re-verifies a shipped Jaguar class, reading the VM
 // setup fields (class bytes, method, limits) from r.
-func (st *childState) bindVM(r *preader) (*binding, error) {
-	classBytes := r.bytes()
-	method := r.str()
-	fuel := r.varint()
-	mem := r.varint()
-	depth := r.varint()
-	if r.err != nil {
+func (st *childState) bindVM(r *frame.Cursor) (*binding, error) {
+	classBytes := r.Bytes()
+	method := r.Str()
+	fuel := r.Varint()
+	mem := r.Varint()
+	depth := r.Varint()
+	if r.Err != nil {
 		return nil, nil // caller reports the frame error
 	}
 	// A fresh VM per binding: full isolation, default-deny policy is
@@ -363,15 +359,13 @@ func (st *childState) bindVM(r *preader) (*binding, error) {
 	}, nil
 }
 
-func (st *childState) invoke(payload []byte) {
-	r := &preader{buf: payload}
-	argc := int(r.uvarint())
-	args := make([]types.Value, 0, argc)
-	for i := 0; i < argc; i++ {
-		args = append(args, r.value())
+func (st *childState) invoke(r *frame.Cursor) {
+	args := make([]types.Value, r.Count(1)) // a value is at least its tag
+	for i := range args {
+		args[i] = r.Value()
 	}
-	if r.err != nil {
-		st.fail("bad invoke frame: %v", r.err)
+	if r.Err != nil {
+		st.fail("bad invoke frame: %v", r.Err)
 		return
 	}
 	var inv childSpan
@@ -393,7 +387,7 @@ func (st *childState) invoke(payload []byte) {
 		resp = st.sealSpans(resp)
 	}
 	st.respBuf = resp
-	_ = st.conn.send(msgResult, resp)
+	_ = st.conn.Send(msgResult, resp)
 }
 
 // run evaluates one row with whatever UDF is bound. parent is the span
@@ -409,12 +403,11 @@ func (st *childState) run(cb *proxyCallback, args []types.Value, parent uint64) 
 // replies with a single msgResultBatch frame: one crossing in, one
 // crossing out, however many rows ride inside. Per-row UDF failures are
 // encoded as per-row errors; only a malformed frame aborts the batch.
-func (st *childState) invokeBatch(payload []byte) {
-	r := &preader{buf: payload}
-	n := int(r.uvarint())
-	arity := int(r.uvarint())
-	if r.err != nil || n < 0 || arity < 0 {
-		st.fail("bad batch invoke frame: %v", r.err)
+func (st *childState) invokeBatch(r *frame.Cursor) {
+	n := int(r.Uvarint())
+	arity := int(r.Uvarint())
+	if r.Err != nil || n < 0 || arity < 0 {
+		st.fail("bad batch invoke frame: %v", r.Err)
 		return
 	}
 	var inv childSpan
@@ -429,15 +422,15 @@ func (st *childState) invokeBatch(payload []byte) {
 	for i := 0; i < n; i++ {
 		st.fault.fireBatchRow(i, st.conn, st.curSID)
 		for j := 0; j < arity; j++ {
-			args[j] = r.value()
+			args[j] = r.Value()
 		}
-		if r.err != nil {
-			st.fail("bad batch invoke frame at row %d: %v", i, r.err)
+		if r.Err != nil {
+			st.fail("bad batch invoke frame at row %d: %v", i, r.Err)
 			return
 		}
 		out, err := st.run(cb, args, inv.id)
 		if err != nil {
-			resp = appendString(append(resp, 1), err.Error())
+			resp = frame.AppendString(append(resp, 1), err.Error())
 			continue
 		}
 		resp = types.EncodeValue(append(resp, 0), out)
@@ -457,7 +450,7 @@ func (st *childState) invokeBatch(payload []byte) {
 		resp = st.sealSpans(resp)
 	}
 	st.respBuf = resp
-	_ = st.conn.send(msgResultBatch, resp)
+	_ = st.conn.Send(msgResultBatch, resp)
 }
 
 func (st *childState) invokeVM(cb jvm.Callback, args []types.Value, parent uint64) (types.Value, error) {
@@ -516,30 +509,29 @@ type proxyCallback struct {
 	sid    uint64
 }
 
-func (p *proxyCallback) roundTrip(op byte, handle, off, length int64) (*preader, error) {
+func (p *proxyCallback) roundTrip(op byte, handle, off, length int64) (r frame.Cursor, err error) {
 	p.st.fault.fire("callback", p.st.conn)
 	var start time.Time
 	if p.st.traced {
 		start = time.Now()
 	}
-	buf := binary.AppendUvarint(nil, p.sid)
-	buf = append(buf, op)
+	buf := append(binary.AppendUvarint(frame.Take(), p.sid), op)
 	buf = binary.AppendVarint(buf, handle)
 	buf = binary.AppendVarint(buf, off)
 	buf = binary.AppendVarint(buf, length)
-	if err := p.st.conn.send(msgCallback, buf); err != nil {
-		return nil, err
+	err = p.st.conn.Send(msgCallback, buf)
+	frame.Put(buf)
+	if err == nil {
+		r.Buf, err = p.recvCBResult()
 	}
-	payload, err := p.recvCBResult()
 	if err != nil {
-		return nil, err
+		return r, err
 	}
 	if !start.IsZero() {
 		p.st.addSpan(childSpan{id: p.st.newSpanID(), parent: p.parent, name: "child/callback_wait", start: start, dur: time.Since(start)})
 	}
-	r := &preader{buf: payload}
-	if ok := r.byte(); ok == 0 {
-		return nil, fmt.Errorf("isolate: callback failed: %s", r.str())
+	if ok := r.Byte(); ok == 0 {
+		return r, fmt.Errorf("isolate: callback failed: %s", r.Str())
 	}
 	return r, nil
 }
@@ -551,29 +543,29 @@ func (p *proxyCallback) roundTrip(op byte, handle, off, length int64) (*preader,
 // the parent's health checks never stall behind a slow callback.
 func (p *proxyCallback) recvCBResult() ([]byte, error) {
 	for {
-		f, err := p.st.conn.recv()
+		typ, payload, err := p.st.conn.Recv()
 		if err != nil {
 			return nil, err
 		}
-		r := &preader{buf: f.payload}
-		sid := r.uvarint()
-		if r.err != nil {
-			return nil, fmt.Errorf("isolate: bad stream tag on callback reply: %v", r.err)
+		r := &frame.Cursor{Buf: payload}
+		sid := r.Uvarint()
+		if r.Err != nil {
+			return nil, fmt.Errorf("isolate: bad stream tag on callback reply: %v", r.Err)
 		}
-		switch f.typ {
+		switch typ {
 		case msgCBResult:
 			if sid != p.sid {
 				return nil, fmt.Errorf("isolate: callback reply for stream %d, want %d", sid, p.sid)
 			}
-			return f.payload[r.off:], nil
+			return r.Rest(), nil
 		case msgPing:
-			if err := p.st.conn.send(msgPong, binary.AppendUvarint(nil, 0)); err != nil {
+			if err := p.st.conn.Send(msgPong, binary.AppendUvarint(nil, 0)); err != nil {
 				return nil, err
 			}
 		default:
 			// Another stream's traffic: park it for the main loop. The
 			// payload must be copied out of the receive scratch.
-			p.st.pending = append(p.st.pending, frame{typ: f.typ, payload: append([]byte(nil), f.payload...)})
+			p.st.pending = append(p.st.pending, muxFrame{typ: typ, payload: bytes.Clone(payload)})
 		}
 	}
 }
@@ -583,7 +575,7 @@ func (p *proxyCallback) Size(handle int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.varint(), r.err
+	return r.Varint(), r.Err
 }
 
 func (p *proxyCallback) Get(handle, off int64) (byte, error) {
@@ -591,7 +583,7 @@ func (p *proxyCallback) Get(handle, off int64) (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	return byte(r.varint()), r.err
+	return byte(r.Varint()), r.Err
 }
 
 func (p *proxyCallback) Read(handle, off, length int64) ([]byte, error) {
@@ -599,13 +591,8 @@ func (p *proxyCallback) Read(handle, off, length int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := r.bytes()
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
+	// The VM keeps the data: copy it out of the receive buffer.
+	return append([]byte{}, r.Bytes()...), r.Err
 }
 
 func (p *proxyCallback) Touch(handle int64) error {
@@ -613,6 +600,6 @@ func (p *proxyCallback) Touch(handle int64) error {
 	if err != nil {
 		return err
 	}
-	r.varint()
-	return r.err
+	r.Varint()
+	return r.Err
 }

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"predator/internal/frame"
 )
 
 // Deterministic fault injection for executor children, used to test
@@ -81,7 +83,7 @@ func parseFaultSpec(spec string) *faultPlan {
 // fire triggers the configured fault if it applies to this point.
 // It returns normally for non-matching points and for the stall and
 // corrupt modes (which perturb, then proceed).
-func (p *faultPlan) fire(point string, c *conn) {
+func (p *faultPlan) fire(point string, c *frame.Conn) {
 	if p == nil || p.point != point {
 		return
 	}
@@ -104,8 +106,7 @@ func (p *faultPlan) fire(point string, c *conn) {
 		if c != nil {
 			// A frame header announcing an absurd length: the parent
 			// must classify this as a protocol fault and kill us.
-			c.w.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xEE})
-			c.w.Flush()
+			c.Raw([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xEE})
 		}
 	}
 }
@@ -117,14 +118,14 @@ func (p *faultPlan) fire(point string, c *conn) {
 // can report which row was being evaluated — then exits with the fault
 // code; the supervisor still observes the process death and restarts
 // as usual.
-func (p *faultPlan) fireBatchRow(row int, c *conn, sid uint64) {
+func (p *faultPlan) fireBatchRow(row int, c *frame.Conn, sid uint64) {
 	if p == nil || p.point != "batchrow" || p.arg != strconv.Itoa(row) {
 		return
 	}
 	switch p.mode {
 	case "crash":
 		msg := fmt.Sprintf("injected crash at batch row %d", row)
-		_ = c.send(msgError, appendString(binary.AppendUvarint(nil, sid), msg))
+		_ = c.Send(msgError, frame.AppendString(binary.AppendUvarint(nil, sid), msg))
 		fmt.Fprintf(os.Stderr, "udf-executor: injected crash at batch row %d\n", row)
 		os.Exit(faultExitCode)
 	case "hang":

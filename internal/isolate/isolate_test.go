@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"predator/internal/core"
+	"predator/internal/frame"
 	"predator/internal/jaguar"
 	"predator/internal/jvm"
 	"predator/internal/types"
@@ -245,7 +246,7 @@ func TestVMIsolatedRejectsCorruptClass(t *testing.T) {
 // pipeExecutor runs the child loop in-process over synthetic pipes and
 // returns the parent's end, with the child's ready frame (stream 0)
 // already read.
-func pipeExecutor(t *testing.T) *conn {
+func pipeExecutor(t *testing.T) *frame.Conn {
 	t.Helper()
 	parentR, childW, err := os.Pipe()
 	if err != nil {
@@ -260,7 +261,7 @@ func pipeExecutor(t *testing.T) *conn {
 		RunExecutor(childR, childW, testNatives)
 	}()
 	t.Cleanup(func() { parentW.Close() })
-	c := newConn(parentR, parentW)
+	c := frame.NewConn(parentR, parentW)
 	if typ, sid, _ := recvTagged(t, c); typ != msgReady || sid != 0 {
 		t.Fatalf("ready: type %d on stream %d", typ, sid)
 	}
@@ -268,35 +269,35 @@ func pipeExecutor(t *testing.T) *conn {
 }
 
 // sendTagged writes one frame whose payload is the stream tag then body.
-func sendTagged(t *testing.T, c *conn, typ byte, sid uint64, body []byte) {
+func sendTagged(t *testing.T, c *frame.Conn, typ byte, sid uint64, body []byte) {
 	t.Helper()
-	if err := c.send(typ, append(binary.AppendUvarint(nil, sid), body...)); err != nil {
+	if err := c.Send(typ, append(binary.AppendUvarint(nil, sid), body...)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // recvTagged reads one frame and splits off its stream tag.
-func recvTagged(t *testing.T, c *conn) (typ byte, sid uint64, body []byte) {
+func recvTagged(t *testing.T, c *frame.Conn) (typ byte, sid uint64, body []byte) {
 	t.Helper()
-	f, err := c.recv()
+	typ, payload, err := c.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &preader{buf: f.payload}
-	sid = r.uvarint()
-	if r.err != nil {
-		t.Fatalf("untagged frame %d from the child", f.typ)
+	r := frame.Cursor{Buf: payload}
+	sid = r.Uvarint()
+	if r.Err != nil {
+		t.Fatalf("untagged frame %d from the child", typ)
 	}
-	return f.typ, sid, f.payload[r.off:]
+	return typ, sid, r.Rest()
 }
 
 // openNative is the body of a msgOpenStream binding a native UDF.
 func openNative(name string) []byte {
 	buf := []byte{streamNative}
-	buf = appendString(buf, "tenant")
-	buf = appendString(buf, name)
-	buf = appendString(buf, "tok")
-	return appendString(buf, name)
+	buf = frame.AppendString(buf, "tenant")
+	buf = frame.AppendString(buf, name)
+	buf = frame.AppendString(buf, "tok")
+	return frame.AppendString(buf, name)
 }
 
 func TestRunExecutorOverSyntheticPipes(t *testing.T) {
@@ -312,10 +313,10 @@ func TestRunExecutorOverSyntheticPipes(t *testing.T) {
 	if typ != msgResult || sid != 1 {
 		t.Fatalf("result: type %d on stream %d", typ, sid)
 	}
-	r := &preader{buf: body}
-	v := r.value()
-	if r.err != nil || v.Int != 7 {
-		t.Errorf("value = %v, %v", v, r.err)
+	r := &frame.Cursor{Buf: body}
+	v := r.Value()
+	if r.Err != nil || v.Int != 7 {
+		t.Errorf("value = %v, %v", v, r.Err)
 	}
 	sendTagged(t, c, msgShutdown, 0, nil)
 }
@@ -334,7 +335,7 @@ func TestExecutorProtocolRobustness(t *testing.T) {
 	sendTagged(t, c, 0x7F, 1, []byte{2, 3})
 	expectError("unknown type", 1)
 	// A frame without a stream tag.
-	if err := c.send(msgInvoke, nil); err != nil {
+	if err := c.Send(msgInvoke, nil); err != nil {
 		t.Fatal(err)
 	}
 	expectError("untagged", 0)

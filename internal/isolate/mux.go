@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"predator/internal/core"
+	"predator/internal/frame"
 	"predator/internal/jvm"
 	"predator/internal/types"
 )
@@ -35,7 +36,7 @@ import (
 type MuxExecutor struct {
 	sup     Supervision
 	cmd     *exec.Cmd
-	conn    *conn
+	conn    *frame.Conn
 	private bool
 
 	// wmu serializes frame writes (many streams share the pipe).
@@ -135,7 +136,7 @@ func startMux(sup Supervision, private bool) (*MuxExecutor, error) {
 	m := &MuxExecutor{
 		sup:     sup,
 		cmd:     cmd,
-		conn:    newConn(stdout, stdin),
+		conn:    frame.NewConn(stdout, stdin),
 		private: private,
 		rtok:    make(chan struct{}, 1),
 		streams: make(map[uint64]*MuxStream),
@@ -159,7 +160,7 @@ func startMux(sup Supervision, private bool) (*MuxExecutor, error) {
 	// No stream exists yet, so the handshake reads the pipe directly; a
 	// timer kills a child that does not become ready in time.
 	t := time.AfterFunc(sup.StartTimeout, func() { m.expire("start", sup.StartTimeout) })
-	f, err := m.conn.recv()
+	typ, _, err := m.conn.Recv()
 	if !t.Stop() {
 		return nil, m.timeoutFault("start", sup.StartTimeout)
 	}
@@ -167,8 +168,8 @@ func startMux(sup Supervision, private bool) (*MuxExecutor, error) {
 		m.destroy(classifyRecvErr(err), err)
 		return nil, core.NewFault(m.deadClass, "start", m.deathErr())
 	}
-	if f.typ != msgReady {
-		return nil, m.fail(core.FaultProtocol, "start", fmt.Errorf("unexpected first message %d", f.typ))
+	if typ != msgReady {
+		return nil, m.fail(core.FaultProtocol, "start", fmt.Errorf("unexpected first message %d", typ))
 	}
 	m.rtok <- struct{}{}
 	return m, nil
@@ -177,7 +178,7 @@ func startMux(sup Supervision, private bool) (*MuxExecutor, error) {
 // classifyRecvErr distinguishes a babbling child (invalid framing —
 // the protocol itself was violated) from a dead one (broken pipe).
 func classifyRecvErr(err error) core.FaultClass {
-	if errors.Is(err, errFrameSize) {
+	if errors.Is(err, frame.ErrFrameSize) {
 		return core.FaultProtocol
 	}
 	return core.FaultExecutor
@@ -218,12 +219,12 @@ func (m *MuxExecutor) read(ch chan muxFrame) bool {
 		if !m.Alive() {
 			return false
 		}
-		f, err := m.conn.recv()
+		typ, payload, err := m.conn.Recv()
 		if err != nil {
 			m.destroy(classifyRecvErr(err), err)
 			return false
 		}
-		if err := m.route(f); err != nil {
+		if err := m.route(typ, payload); err != nil {
 			m.destroy(core.FaultProtocol, err)
 			return false
 		}
@@ -234,13 +235,13 @@ func (m *MuxExecutor) read(ch chan muxFrame) bool {
 // route strips the stream tag from a frame and delivers it to the
 // owning stream (pongs to the ping waiter), copying the payload out of
 // the receive scratch.
-func (m *MuxExecutor) route(f frame) error {
-	r := &preader{buf: f.payload}
-	sid := r.uvarint()
-	if r.err != nil {
-		return fmt.Errorf("untagged frame %d", f.typ)
+func (m *MuxExecutor) route(typ byte, payload []byte) error {
+	r := frame.Cursor{Buf: payload}
+	sid := r.Uvarint()
+	if r.Err != nil {
+		return fmt.Errorf("untagged frame %d", typ)
 	}
-	if f.typ == msgPong && sid == 0 {
+	if typ == msgPong && sid == 0 {
 		select {
 		case m.pongCh <- muxFrame{typ: msgPong}:
 		default:
@@ -256,14 +257,14 @@ func (m *MuxExecutor) route(f frame) error {
 		// waiting, and the child has no per-frame state.
 		return nil
 	}
-	buf := append(s.scratch[s.si][:0], f.payload[r.off:]...)
+	buf := append(s.scratch[s.si][:0], r.Rest()...)
 	s.scratch[s.si] = buf
 	s.si ^= 1
 	select {
-	case s.ch <- muxFrame{typ: f.typ, payload: buf}:
+	case s.ch <- muxFrame{typ: typ, payload: buf}:
 		return nil
 	default:
-		return fmt.Errorf("stream %d flooded (frame %d)", sid, f.typ)
+		return fmt.Errorf("stream %d flooded (frame %d)", sid, typ)
 	}
 }
 
@@ -411,14 +412,16 @@ func (m *MuxExecutor) LastPingAge() time.Duration {
 }
 
 // send writes one tagged frame under the write lock, destroying the
-// executor on pipe errors.
+// executor on pipe errors. The payload, usually a builder from
+// frame.Take, goes back to the pool once written.
 func (m *MuxExecutor) send(op string, typ byte, payload []byte) error {
 	if !m.Alive() {
 		return m.lost(op)
 	}
 	m.wmu.Lock()
-	err := m.conn.send(typ, payload)
+	err := m.conn.Send(typ, payload)
 	m.wmu.Unlock()
+	frame.Put(payload)
 	if err != nil {
 		m.destroy(core.FaultExecutor, err)
 		return m.lost(op)
@@ -500,25 +503,14 @@ func (m *MuxExecutor) OpenStream(tenant, name, token string, setup StreamSetup) 
 
 // openAttempt sends one msgOpenStream and waits for the tagged reply.
 func (m *MuxExecutor) openAttempt(s *MuxStream, kind byte, tenant, name, token string, setup StreamSetup, deadline time.Time) error {
-	buf := takePayload()
-	buf = binary.AppendUvarint(buf, s.id)
-	buf = append(buf, kind)
-	buf = appendString(buf, tenant)
-	buf = appendString(buf, name)
-	buf = appendString(buf, token)
-	switch kind {
-	case streamNative:
-		buf = appendString(buf, setup.Native)
-	case streamVM:
-		buf = appendBytes(buf, setup.VM.ClassBytes)
-		buf = appendString(buf, setup.VM.Method)
-		buf = binary.AppendVarint(buf, setup.VM.Limits.Fuel)
-		buf = binary.AppendVarint(buf, setup.VM.Limits.MaxAllocBytes)
-		buf = binary.AppendVarint(buf, int64(setup.VM.Limits.MaxCallDepth))
+	buf := append(binary.AppendUvarint(frame.Take(), s.id), kind)
+	buf = frame.AppendString(buf, tenant)
+	buf = frame.AppendString(buf, name)
+	buf = frame.AppendString(buf, token)
+	if kind != streamWarm {
+		buf = appendSetup(buf, setup)
 	}
-	err := m.send("setup", msgOpenStream, buf)
-	putPayload(buf)
-	if err != nil {
+	if err := m.send("setup", msgOpenStream, buf); err != nil {
 		return err
 	}
 	f, err := m.await(s.ch, "setup", deadline)
@@ -531,11 +523,23 @@ func (m *MuxExecutor) openAttempt(s *MuxStream, kind byte, tenant, name, token s
 	case msgError:
 		// A clean rejection: the UDF (name, class) is bad, the executor
 		// itself is healthy and restarting cannot help.
-		r := &preader{buf: f.payload}
-		return core.Faultf(core.FaultUDF, "setup", "executor setup failed: %s", r.str())
+		r := &frame.Cursor{Buf: f.payload}
+		return core.Faultf(core.FaultUDF, "setup", "executor setup failed: %s", r.Str())
 	default:
 		return m.fail(core.FaultProtocol, "setup", fmt.Errorf("unexpected setup reply %d", f.typ))
 	}
+}
+
+// appendSetup encodes a full stream setup: the native name, or the VM
+// class bytes, method and limits.
+func appendSetup(buf []byte, setup StreamSetup) []byte {
+	if setup.VM == nil {
+		return frame.AppendString(buf, setup.Native)
+	}
+	buf = frame.AppendString(frame.AppendBytes(buf, setup.VM.ClassBytes), setup.VM.Method)
+	buf = binary.AppendVarint(buf, setup.VM.Limits.Fuel)
+	buf = binary.AppendVarint(buf, setup.VM.Limits.MaxAllocBytes)
+	return binary.AppendVarint(buf, int64(setup.VM.Limits.MaxCallDepth))
 }
 
 // dropStream unregisters a stream parent-side (no wire traffic).
@@ -550,10 +554,7 @@ func (m *MuxExecutor) dropStream(s *MuxStream) {
 func (m *MuxExecutor) CloseStream(s *MuxStream) {
 	m.dropStream(s)
 	if m.Alive() {
-		buf := takePayload()
-		buf = binary.AppendUvarint(buf, s.id)
-		_ = m.send("close", msgCloseStream, buf)
-		putPayload(buf)
+		_ = m.send("close", msgCloseStream, binary.AppendUvarint(frame.Take(), s.id))
 	}
 }
 
@@ -564,24 +565,21 @@ func (s *MuxStream) sendTraceCtx(ctx *core.Ctx) (bool, error) {
 	if ctx == nil || !ctx.Trace.Detailed() {
 		return false, nil
 	}
-	buf := takePayload()
-	buf = binary.AppendUvarint(buf, s.id)
+	buf := binary.AppendUvarint(frame.Take(), s.id)
 	buf = binary.AppendUvarint(buf, uint64(ctx.Trace.ID()))
 	buf = binary.AppendUvarint(buf, 0) // parent span ID (reserved)
-	err := s.m.send("invoke", msgTraceCtx, buf)
-	putPayload(buf)
-	if err != nil {
+	if err := s.m.send("invoke", msgTraceCtx, buf); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// cross carries one invocation: it sends the payload (a pooled builder,
-// returned to the pool once written) as a frame of type typ, then
-// serves the UDF's callbacks until the reply of type want arrives. The
-// whole crossing, callbacks included, runs under the merged deadline of
-// the supervision policy's InvokeTimeout and ctx.Deadline. A msgError
-// reply is the UDF's own failure (FaultUDF); the executor survives it.
+// cross carries one invocation: it sends the payload (a pooled builder)
+// as a frame of type typ, then serves the UDF's callbacks until the
+// reply of type want arrives. The whole crossing, callbacks included,
+// runs under the merged deadline of the supervision policy's
+// InvokeTimeout and ctx.Deadline. A msgError reply is the UDF's own
+// failure (FaultUDF); the executor survives it.
 func (s *MuxStream) cross(ctx *core.Ctx, typ, want byte, payload []byte) (f muxFrame, traced bool, err error) {
 	cInvocations.Inc()
 	deadline := deadlineFor(s.m.sup.InvokeTimeout, ctx)
@@ -589,7 +587,6 @@ func (s *MuxStream) cross(ctx *core.Ctx, typ, want byte, payload []byte) (f muxF
 	if err == nil {
 		err = s.m.send("invoke", typ, payload)
 	}
-	putPayload(payload)
 	for err == nil {
 		if f, err = s.m.await(s.ch, "invoke", deadline); err != nil {
 			break
@@ -598,8 +595,8 @@ func (s *MuxStream) cross(ctx *core.Ctx, typ, want byte, payload []byte) (f muxF
 		case want:
 			return f, traced, nil
 		case msgError:
-			r := &preader{buf: f.payload}
-			err = core.Faultf(core.FaultUDF, "invoke", "UDF failed: %s", r.str())
+			r := &frame.Cursor{Buf: f.payload}
+			err = core.Faultf(core.FaultUDF, "invoke", "UDF failed: %s", r.Str())
 		case msgCallback:
 			err = s.serveCallback(ctx, f.payload)
 		default:
@@ -613,7 +610,7 @@ func (s *MuxStream) cross(ctx *core.Ctx, typ, want byte, payload []byte) (f muxF
 // copied across the process boundary; callbacks made by the UDF are
 // served by ctx.Callback, each one a round trip.
 func (s *MuxStream) Invoke(ctx *core.Ctx, args []types.Value) (types.Value, error) {
-	buf := binary.AppendUvarint(takePayload(), s.id)
+	buf := binary.AppendUvarint(frame.Take(), s.id)
 	buf = binary.AppendUvarint(buf, uint64(len(args)))
 	for _, a := range args {
 		buf = types.EncodeValue(buf, a)
@@ -622,10 +619,10 @@ func (s *MuxStream) Invoke(ctx *core.Ctx, args []types.Value) (types.Value, erro
 	if err != nil {
 		return types.Value{}, err
 	}
-	r := &preader{buf: f.payload}
-	v := r.value()
-	if r.err != nil {
-		return types.Value{}, s.m.fail(core.FaultProtocol, "invoke", r.err)
+	r := &frame.Cursor{Buf: f.payload}
+	v := r.Value()
+	if r.Err != nil {
+		return types.Value{}, s.m.fail(core.FaultProtocol, "invoke", r.Err)
 	}
 	if traced {
 		s.mergeChildSpans(ctx, r)
@@ -638,7 +635,7 @@ func (s *MuxStream) Invoke(ctx *core.Ctx, args []types.Value) (types.Value, erro
 // every result). Per-row UDF failures come back in out[i].Err and do
 // not poison sibling rows; a non-nil return is a whole-batch fault.
 func (s *MuxStream) InvokeBatch(ctx *core.Ctx, arity int, args []types.Value, out []core.BatchResult) error {
-	buf := binary.AppendUvarint(takePayload(), s.id)
+	buf := binary.AppendUvarint(frame.Take(), s.id)
 	buf = binary.AppendUvarint(buf, uint64(len(out)))
 	buf = binary.AppendUvarint(buf, uint64(arity))
 	for _, a := range args {
@@ -648,31 +645,22 @@ func (s *MuxStream) InvokeBatch(ctx *core.Ctx, arity int, args []types.Value, ou
 	if err != nil {
 		return err
 	}
-	r := &preader{buf: f.payload}
-	n := int(r.uvarint())
-	if r.err == nil && n != len(out) {
+	r := &frame.Cursor{Buf: f.payload}
+	if n := r.Uvarint(); r.Err == nil && n != uint64(len(out)) {
 		return s.m.fail(core.FaultProtocol, "invoke", fmt.Errorf("batch reply has %d rows, expected %d", n, len(out)))
 	}
+	// A malformed row fails the whole batch, whatever out[i] then holds.
 	for i := range out {
-		switch status := r.byte(); status {
+		switch status := r.Byte(); status {
 		case 0:
-			v := r.value()
-			if r.err == nil {
-				out[i] = core.BatchResult{Value: v.Clone()}
-			}
+			out[i] = core.BatchResult{Value: r.Value().Clone()}
 		case 1:
-			msg := r.str()
-			if r.err == nil {
-				out[i] = core.BatchResult{Err: core.Faultf(core.FaultUDF, "invoke",
-					"UDF failed at batch row %d: %s", i, msg)}
-			}
+			out[i] = core.BatchResult{Err: core.Faultf(core.FaultUDF, "invoke", "UDF failed at batch row %d: %s", i, r.Str())}
 		default:
-			if r.err == nil {
-				r.err = fmt.Errorf("bad batch row status %d at row %d", status, i)
-			}
+			r.Err = fmt.Errorf("bad batch row status %d at row %d", status, i)
 		}
-		if r.err != nil {
-			return s.m.fail(core.FaultProtocol, "invoke", r.err)
+		if r.Err != nil {
+			return s.m.fail(core.FaultProtocol, "invoke", r.Err)
 		}
 	}
 	decodeChildCPU(r, ctx)
@@ -688,10 +676,10 @@ func (s *MuxStream) InvokeBatch(ctx *core.Ctx, arity int, args []types.Value, ou
 // missing or malformed tail is ignored rather than failing the
 // invocation (the rows already decoded), and the reader's error state
 // is reset so a traced span tail after it can still be attempted.
-func decodeChildCPU(r *preader, ctx *core.Ctx) {
-	cpu := r.uvarint()
-	if r.err != nil {
-		r.err = nil
+func decodeChildCPU(r *frame.Cursor, ctx *core.Ctx) {
+	cpu := r.Uvarint()
+	if r.Err != nil {
+		r.Err = nil
 		return
 	}
 	ctx.AddReportedCPU(time.Duration(cpu))
@@ -701,7 +689,7 @@ func decodeChildCPU(r *preader, ctx *core.Ctx) {
 // invocation's trace, attributed to the child's PID. A missing or
 // malformed tail is ignored: the result already decoded, and spans are
 // diagnostics.
-func (s *MuxStream) mergeChildSpans(ctx *core.Ctx, r *preader) {
+func (s *MuxStream) mergeChildSpans(ctx *core.Ctx, r *frame.Cursor) {
 	if recs := decodeChildSpans(r); len(recs) > 0 {
 		ctx.Trace.Merge(recs, s.m.PID())
 	}
@@ -709,22 +697,19 @@ func (s *MuxStream) mergeChildSpans(ctx *core.Ctx, r *preader) {
 
 // serveCallback answers one callback request from this stream's UDF.
 func (s *MuxStream) serveCallback(ctx *core.Ctx, payload []byte) error {
-	r := &preader{buf: payload}
-	op := r.byte()
-	handle := r.varint()
-	off := r.varint()
-	length := r.varint()
-	if r.err != nil {
-		return s.m.fail(core.FaultProtocol, "callback", r.err)
+	r := &frame.Cursor{Buf: payload}
+	op := r.Byte()
+	handle := r.Varint()
+	off := r.Varint()
+	length := r.Varint()
+	if r.Err != nil {
+		return s.m.fail(core.FaultProtocol, "callback", r.Err)
 	}
-	reply := func(payload []byte) error {
-		buf := append(binary.AppendUvarint(takePayload(), s.id), payload...)
-		err := s.m.send("callback", msgCBResult, buf)
-		putPayload(buf)
-		return err
-	}
+	// Replies are the stream tag, an ok flag and the op's result.
+	tag := binary.AppendUvarint(frame.Take(), s.id)
+	reply := func(payload []byte) error { return s.m.send("callback", msgCBResult, payload) }
 	fail := func(err error) error {
-		return reply(appendString([]byte{0}, err.Error()))
+		return reply(frame.AppendString(append(tag, 0), err.Error()))
 	}
 	if ctx == nil || ctx.Callback == nil {
 		return fail(fmt.Errorf("no callback handler installed"))
@@ -735,24 +720,24 @@ func (s *MuxStream) serveCallback(ctx *core.Ctx, payload []byte) error {
 		if err != nil {
 			return fail(err)
 		}
-		return reply(binary.AppendVarint([]byte{1}, n))
+		return reply(binary.AppendVarint(append(tag, 1), n))
 	case cbGet:
 		b, err := ctx.Callback.Get(handle, off)
 		if err != nil {
 			return fail(err)
 		}
-		return reply(binary.AppendVarint([]byte{1}, int64(b)))
+		return reply(binary.AppendVarint(append(tag, 1), int64(b)))
 	case cbRead:
 		data, err := ctx.Callback.Read(handle, off, length)
 		if err != nil {
 			return fail(err)
 		}
-		return reply(appendBytes([]byte{1}, data))
+		return reply(frame.AppendBytes(append(tag, 1), data))
 	case cbTouch:
 		if err := ctx.Callback.Touch(handle); err != nil {
 			return fail(err)
 		}
-		return reply(binary.AppendVarint([]byte{1}, 0))
+		return reply(binary.AppendVarint(append(tag, 1), 0))
 	default:
 		return fail(fmt.Errorf("unknown callback op %d", op))
 	}
@@ -763,7 +748,7 @@ func (s *MuxStream) serveCallback(ctx *core.Ctx, payload []byte) error {
 func (m *MuxExecutor) Close() error {
 	if m.Alive() {
 		m.wmu.Lock()
-		_ = m.conn.send(msgShutdown, binary.AppendUvarint(nil, 0))
+		_ = m.conn.Send(msgShutdown, binary.AppendUvarint(nil, 0))
 		m.wmu.Unlock()
 		t := time.NewTimer(m.sup.ShutdownGrace)
 		defer t.Stop()

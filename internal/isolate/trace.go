@@ -2,8 +2,10 @@ package isolate
 
 import (
 	"encoding/binary"
+	"fmt"
 	"time"
 
+	"predator/internal/frame"
 	"predator/internal/obs"
 )
 
@@ -47,7 +49,7 @@ func appendChildSpans(buf []byte, spans []childSpan) []byte {
 	for _, s := range spans {
 		buf = binary.AppendUvarint(buf, s.id)
 		buf = binary.AppendUvarint(buf, s.parent)
-		buf = appendString(buf, s.name)
+		buf = frame.AppendString(buf, s.name)
 		buf = binary.AppendUvarint(buf, uint64(s.start.UnixNano()))
 		buf = binary.AppendUvarint(buf, uint64(s.dur.Nanoseconds()))
 	}
@@ -55,24 +57,23 @@ func appendChildSpans(buf []byte, spans []childSpan) []byte {
 }
 
 // decodeChildSpans parses a span tail into portable records (the names
-// are copied out of the receive scratch by str()).
-func decodeChildSpans(r *preader) []obs.SpanRecord {
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil
+// are copied out of the receive buffer by Str).
+func decodeChildSpans(r *frame.Cursor) []obs.SpanRecord {
+	n := r.Uvarint()
+	if n > maxChildSpans {
+		r.Err = fmt.Errorf("isolate: %d child spans exceed the cap of %d", n, maxChildSpans)
 	}
-	if n < 0 || n > maxChildSpans {
-		r.fail()
+	if r.Err != nil {
 		return nil
 	}
 	out := make([]obs.SpanRecord, 0, n)
-	for i := 0; i < n; i++ {
-		id := r.uvarint()
-		parent := r.uvarint()
-		name := r.str()
-		start := r.uvarint()
-		dur := r.uvarint()
-		if r.err != nil {
+	for range n {
+		id := r.Uvarint()
+		parent := r.Uvarint()
+		name := r.Str()
+		start := r.Uvarint()
+		dur := r.Uvarint()
+		if r.Err != nil {
 			return nil
 		}
 		out = append(out, obs.SpanRecord{

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"predator/internal/core"
+	"predator/internal/frame"
 	"predator/internal/obs"
 	"predator/internal/types"
 )
@@ -17,7 +18,7 @@ func TestChildSpanWireRoundTrip(t *testing.T) {
 		{id: 2, parent: 1, name: "child/vm_exec", start: now.Add(time.Millisecond), dur: time.Millisecond},
 	}
 	buf := appendChildSpans(nil, in)
-	out := decodeChildSpans(&preader{buf: buf})
+	out := decodeChildSpans(&frame.Cursor{Buf: buf})
 	if len(out) != len(in) {
 		t.Fatalf("decoded %d spans, want %d", len(out), len(in))
 	}
@@ -36,15 +37,15 @@ func TestChildSpanDecodeRejectsBabble(t *testing.T) {
 	buf := appendChildSpans(nil, nil)
 	buf[0] = 0xFF // corrupt the count into a large varint prefix
 	buf = append(buf, 0xFF, 0xFF, 0x7F)
-	r := &preader{buf: buf}
-	if got := decodeChildSpans(r); got != nil || r.err == nil {
-		t.Fatalf("oversized span count accepted: %v (err=%v)", got, r.err)
+	r := &frame.Cursor{Buf: buf}
+	if got := decodeChildSpans(r); got != nil || r.Err == nil {
+		t.Fatalf("oversized span count accepted: %v (err=%v)", got, r.Err)
 	}
 	// Truncated payload mid-span also fails cleanly.
 	trunc := appendChildSpans(nil, []childSpan{{id: 1, name: "child/invoke"}})
-	r = &preader{buf: trunc[:len(trunc)-2]}
-	if got := decodeChildSpans(r); got != nil || r.err == nil {
-		t.Fatalf("truncated span tail accepted: %v (err=%v)", got, r.err)
+	r = &frame.Cursor{Buf: trunc[:len(trunc)-2]}
+	if got := decodeChildSpans(r); got != nil || r.Err == nil {
+		t.Fatalf("truncated span tail accepted: %v (err=%v)", got, r.Err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package isolate
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -178,28 +177,19 @@ func (u *udf) ArgKinds() []types.Kind { return u.args }
 func (u *udf) ReturnKind() types.Kind { return u.ret }
 func (u *udf) Design() core.Design    { return u.design }
 
-// muxSpec describes this UDF to the fleet. The token fingerprints the
-// setup payload (class bytes, method, limits or native name), so a
-// CREATE OR REPLACE with new bytecode can never hit stale warm state.
+// muxSpec describes this UDF to the fleet. The token is a hash of the
+// encoded setup payload (class bytes, method, limits or native name), so
+// a CREATE OR REPLACE with new bytecode can never hit stale warm state.
 func (u *udf) muxSpec() MuxSpec {
+	setup := StreamSetup{Native: u.nativeName, VM: u.vm}
 	tok, _ := u.tok.Load().(string)
 	if tok == "" {
 		h := fnv.New64a()
-		if u.vm != nil {
-			h.Write(u.vm.ClassBytes)
-			h.Write([]byte(u.vm.Method))
-			var lim [24]byte
-			binary.LittleEndian.PutUint64(lim[0:], uint64(u.vm.Limits.Fuel))
-			binary.LittleEndian.PutUint64(lim[8:], uint64(u.vm.Limits.MaxAllocBytes))
-			binary.LittleEndian.PutUint64(lim[16:], uint64(u.vm.Limits.MaxCallDepth))
-			h.Write(lim[:])
-		} else {
-			h.Write([]byte("native\x00" + u.nativeName))
-		}
+		h.Write(appendSetup(nil, setup))
 		tok = fmt.Sprintf("%016x", h.Sum64())
 		u.tok.Store(tok)
 	}
-	return MuxSpec{UDF: u.name, Token: tok, Setup: StreamSetup{Native: u.nativeName, VM: u.vm}}
+	return MuxSpec{UDF: u.name, Token: tok, Setup: setup}
 }
 
 // onOwn runs one crossing on the UDF's private executor, starting it

@@ -15,6 +15,7 @@ import (
 	"predator/internal/client"
 	"predator/internal/core"
 	"predator/internal/engine"
+	"predator/internal/frame"
 	"predator/internal/isolate"
 	"predator/internal/obs"
 	"predator/internal/types"
@@ -226,7 +227,7 @@ func TestSessionCapRefusalClosesConn(t *testing.T) {
 	}
 	defer nc.Close()
 	c := wire.NewConn(nc)
-	if err := c.Send(wire.MsgHello, (&wire.Writer{}).Str("alice").Buf); err != nil {
+	if err := c.Send(wire.MsgHello, frame.AppendString(nil, "alice")); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err := c.Recv()
@@ -239,7 +240,7 @@ func TestSessionCapRefusalClosesConn(t *testing.T) {
 	// Ignore the refusal and try to run a statement anyway: the server
 	// must have hung up, so no result frame may ever come back.
 	nc.SetDeadline(time.Now().Add(5 * time.Second))
-	c.Send(wire.MsgQuery, (&wire.Writer{}).Str(`SELECT 1`).Buf)
+	c.Send(wire.MsgQuery, frame.AppendString(nil, `SELECT 1`))
 	if typ, _, err := c.Recv(); err == nil {
 		t.Fatalf("refused session still served a statement (frame 0x%02x)", typ)
 	}

@@ -13,7 +13,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -26,6 +28,7 @@ import (
 
 	"predator/internal/core"
 	"predator/internal/engine"
+	"predator/internal/frame"
 	"predator/internal/govern"
 	"predator/internal/obs"
 	"predator/internal/types"
@@ -324,7 +327,7 @@ func (s *Server) handle(c *wire.Conn, sess *session, typ byte, payload []byte) (
 	}()
 	switch typ {
 	case wire.MsgHello:
-		r := &wire.Reader{Buf: payload}
+		r := frame.Cursor{Buf: payload}
 		user := r.Str()
 		if r.Err != nil {
 			return sendErr(r.Err)
@@ -352,20 +355,18 @@ func (s *Server) handle(c *wire.Conn, sess *session, typ byte, payload []byte) (
 			}
 			sess.admitted = ten
 		}
-		w := &wire.Writer{}
-		w.Str("welcome " + sess.user)
-		return c.Send(wire.MsgOK, w.Buf)
+		return c.Send(wire.MsgOK, frame.AppendString(nil, "welcome "+sess.user))
 	case wire.MsgPing:
-		return c.Send(wire.MsgOK, (&wire.Writer{}).Str("pong").Buf)
+		return c.Send(wire.MsgOK, frame.AppendString(nil, "pong"))
 	case wire.MsgQuery:
 		return s.handleQuery(c, sess, payload)
 	case wire.MsgRegister:
-		r := &wire.Reader{Buf: payload}
+		r := frame.Cursor{Buf: payload}
 		name := r.Str()
 		method := r.Str()
-		classBytes := r.Bytes()
-		nargs := int(r.Uvarint())
-		args := make([]types.Kind, nargs)
+		// The catalog keeps the class: copy it out of the receive buffer.
+		classBytes := bytes.Clone(r.Bytes())
+		args := make([]types.Kind, r.Count(1))
 		for i := range args {
 			args[i] = types.Kind(r.Byte())
 		}
@@ -381,17 +382,18 @@ func (s *Server) handle(c *wire.Conn, sess *session, typ byte, payload []byte) (
 			return sendErr(err)
 		}
 		s.logf("server: user %s registered UDF %s (%d bytes of class)", sess.user, name, len(classBytes))
-		return c.Send(wire.MsgOK, (&wire.Writer{}).Str("function "+name+" registered").Buf)
+		return c.Send(wire.MsgOK, frame.AppendString(nil, "function "+name+" registered"))
 	case wire.MsgPutObject:
-		r := &wire.Reader{Buf: payload}
+		r := frame.Cursor{Buf: payload}
 		data := r.Bytes()
 		if r.Err != nil {
 			return sendErr(r.Err)
 		}
-		h := s.eng.Objects().Put(data)
-		return c.Send(wire.MsgHandle, (&wire.Writer{}).Varint(h).Buf)
+		// The object outlives the frame: copy it out of the receive buffer.
+		h := s.eng.Objects().Put(bytes.Clone(data))
+		return c.Send(wire.MsgHandle, binary.AppendVarint(nil, h))
 	case wire.MsgFetchClass:
-		r := &wire.Reader{Buf: payload}
+		r := frame.Cursor{Buf: payload}
 		name := r.Str()
 		if r.Err != nil {
 			return sendErr(r.Err)
@@ -400,15 +402,12 @@ func (s *Server) handle(c *wire.Conn, sess *session, typ byte, payload []byte) (
 		if !ok || len(f.Code) == 0 {
 			return sendErr(fmt.Errorf("server: no portable class stored for function %q", name))
 		}
-		w := &wire.Writer{}
-		w.Str(f.Name)
-		w.Bytes(f.Code)
-		w.Uvarint(uint64(len(f.ArgKinds)))
+		w := frame.AppendBytes(frame.AppendString(nil, f.Name), f.Code)
+		w = binary.AppendUvarint(w, uint64(len(f.ArgKinds)))
 		for _, k := range f.ArgKinds {
-			w.Byte(byte(k))
+			w = append(w, byte(k))
 		}
-		w.Byte(byte(f.Return))
-		return c.Send(wire.MsgClass, w.Buf)
+		return c.Send(wire.MsgClass, append(w, byte(f.Return)))
 	default:
 		return sendErr(fmt.Errorf("server: unknown request type 0x%02x", typ))
 	}
@@ -418,7 +417,7 @@ func (s *Server) handle(c *wire.Conn, sess *session, typ byte, payload []byte) (
 // set (so Shutdown can wait for it), then the concurrent-query gate.
 // Shed queries get a typed retryable error; the statement never ran.
 func (s *Server) handleQuery(c *wire.Conn, sess *session, payload []byte) error {
-	r := &wire.Reader{Buf: payload}
+	r := frame.Cursor{Buf: payload}
 	q := r.Str()
 	if r.Err != nil {
 		return c.Send(wire.MsgError, errorPayload(r.Err))

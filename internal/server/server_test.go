@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -243,5 +244,66 @@ func TestConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// Received payloads alias each connection's reusable receive buffer, on
+// the server and on the client. Whatever outlives a frame must be
+// copied out of it: an object and a class kept by the server, the class
+// bytes FetchClass hands back and the rows of a result. Same-size
+// frames with other bytes overwrite both buffers in place, so a kept
+// zero-copy slice shows up here as changed bytes.
+func TestReceiveBufferNotAliased(t *testing.T) {
+	cl := dial(t, startServer(t))
+	spec := client.UDFSpec{
+		Name:   "oread",
+		Source: `func oread(h int) bytes { return cb_read(h, 0, cb_size(h)); }`,
+		Args:   []types.Kind{types.KindInt},
+		Return: types.KindBytes,
+	}
+	class, err := cl.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := make([]byte, len(class)+256)
+	for i := range obj {
+		obj[i] = byte(i * 7)
+	}
+	h, err := cl.PutObject(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Register(spec, bytes.Clone(class)); err != nil {
+		t.Fatal(err)
+	}
+	// A frame as large as either upload, with other bytes: it lands in
+	// the server's receive buffer where the object and the class were.
+	other, err := cl.PutObject(bytes.Repeat([]byte{0xEE}, len(obj)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{`CREATE TABLE objs (h INT)`, fmt.Sprintf(`INSERT INTO objs VALUES (%d), (%d)`, h, other)} {
+		if _, err := cl.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := cl.Exec(fmt.Sprintf(`SELECT oread(h) FROM objs WHERE h = %d`, h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched, _, _, err := cl.FetchClass("oread")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A same-size result with other bytes: it lands in the client's
+	// receive buffer where the first result and the class were.
+	if _, err := cl.Exec(fmt.Sprintf(`SELECT oread(h) FROM objs WHERE h = %d`, other)); err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Bytes; !bytes.Equal(got, obj) {
+		t.Errorf("object read back through a callback differs from the upload (%d bytes, want %d)", len(got), len(obj))
+	}
+	if !bytes.Equal(fetched, class) {
+		t.Errorf("fetched class differs from the registered one (%d bytes, want %d)", len(fetched), len(class))
 	}
 }

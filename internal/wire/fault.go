@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"predator/internal/frame"
 )
 
 // Deterministic fault injection for the client/server wire, extending
@@ -108,50 +110,26 @@ func parseWireFault(spec string) *wireFault {
 	return p
 }
 
-// sendFault perturbs one outgoing frame on an armed connection.
-// A non-nil return aborts the send (the caller's payload was either
-// untouched or deliberately truncated on the stream).
-func (c *Conn) sendFault(hdr, payload []byte) error {
+// fault perturbs one send or receive at point on an armed connection.
+// A non-nil return aborts the operation; a partial send first leaves the
+// header and half the payload on the stream, a frame the peer can never
+// complete. On wirerecv, partial behaves as disconnect (nothing was
+// consumed).
+func (c *Conn) fault(point string, typ byte, payload []byte) error {
 	p := wirePlan.Load()
-	if p == nil || p.point != "wiresend" {
+	if p == nil || p.point != point {
 		return nil
 	}
-	switch p.mode {
-	case "stall":
+	if p.mode == "stall" {
 		time.Sleep(p.stall)
-	case "partial":
-		if p.remaining.Add(-1) != 0 {
-			return nil
-		}
-		// Header promises the full payload; deliver half and fail, so
-		// the peer sees a frame that can never complete.
-		c.w.Write(hdr)
-		c.w.Write(payload[:len(payload)/2])
-		c.w.Flush()
-		return fmt.Errorf("%w: partial write at wiresend", ErrInjected)
-	case "disconnect":
-		if p.remaining.Add(-1) != 0 {
-			return nil
-		}
-		return fmt.Errorf("%w: disconnect at wiresend", ErrInjected)
-	}
-	return nil
-}
-
-// recvFault perturbs one incoming-frame read on an armed connection.
-func (c *Conn) recvFault() error {
-	p := wirePlan.Load()
-	if p == nil || p.point != "wirerecv" {
 		return nil
 	}
-	switch p.mode {
-	case "stall":
-		time.Sleep(p.stall)
-	case "partial", "disconnect":
-		if p.remaining.Add(-1) != 0 {
-			return nil
-		}
-		return fmt.Errorf("%w: disconnect at wirerecv", ErrInjected)
+	if p.remaining.Add(-1) != 0 {
+		return nil
 	}
-	return nil
+	if p.mode == "partial" && point == "wiresend" {
+		c.fc.Raw(append(frame.AppendHeader(nil, typ, len(payload)), payload[:len(payload)/2]...))
+		return fmt.Errorf("%w: partial write at %s", ErrInjected, point)
+	}
+	return fmt.Errorf("%w: disconnect at %s", ErrInjected, point)
 }

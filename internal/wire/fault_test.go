@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"predator/internal/frame"
 )
 
 func TestEncodeDecodeError(t *testing.T) {
@@ -20,9 +22,7 @@ func TestEncodeDecodeError(t *testing.T) {
 func TestDecodeErrorLegacyPayload(t *testing.T) {
 	// A v0 server sends just the message string; the new decoder must
 	// accept it with empty code and retryable=false.
-	w := &Writer{}
-	w.Str("plain old error")
-	msg, code, retryable := DecodeError(w.Buf)
+	msg, code, retryable := DecodeError(frame.AppendString(nil, "plain old error"))
 	if msg != "plain old error" || code != "" || retryable {
 		t.Fatalf("got (%q, %q, %v)", msg, code, retryable)
 	}
@@ -31,7 +31,7 @@ func TestDecodeErrorLegacyPayload(t *testing.T) {
 func TestDecodeErrorLegacyReader(t *testing.T) {
 	// A v0 client reads only the leading string; the flags+code suffix
 	// must not corrupt it.
-	r := &Reader{Buf: EncodeError("shed", "overload", true)}
+	r := frame.Cursor{Buf: EncodeError("shed", "overload", true)}
 	if got := r.Str(); got != "shed" || r.Err != nil {
 		t.Fatalf("legacy read got %q, err %v", got, r.Err)
 	}

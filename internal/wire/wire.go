@@ -1,17 +1,19 @@
-// Package wire defines the client/server protocol of PREDATOR-Go: a
-// framed, length-prefixed binary protocol over TCP. The same streamed
-// value encoding (package types) used on disk is used on the wire,
-// which is the property that makes Jaguar UDFs location-portable: a
-// UDF reads its arguments from a stream and writes its result to a
+// Package wire defines the client/server protocol of PREDATOR-Go: the
+// message types, the result/error/schema payload encodings, the traffic
+// counters and the wiresend/wirerecv fault matrix, as a thin layer over
+// package frame, the codec the executor pipe uses too. The same
+// streamed value encoding (package types) used on disk is used on the
+// wire, which is the property that makes Jaguar UDFs location-portable:
+// a UDF reads its arguments from a stream and writes its result to a
 // stream whether it runs at the client or the server (paper §6.4).
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 
+	"predator/internal/frame"
 	"predator/internal/obs"
 	"predator/internal/types"
 )
@@ -42,21 +44,17 @@ const (
 	MsgClass  byte = 0x85 // class bytes + metadata
 )
 
-// MaxFrame bounds one protocol frame (64 MiB).
-const MaxFrame = 64 << 20
-
-// Conn wraps a stream with buffered framing. Not safe for concurrent
-// use; callers serialize request/response pairs.
+// Conn is the protocol's frame.Conn plus the process-wide traffic
+// counters and, on the server side, the wiresend/wirerecv fault matrix
+// (fault.go). Not safe for concurrent use; callers serialize
+// request/response pairs.
 type Conn struct {
-	r      *bufio.Reader
-	w      *bufio.Writer
+	fc     *frame.Conn
 	faulty bool
 }
 
 // NewConn wraps a transport.
-func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{r: bufio.NewReaderSize(rw, 64<<10), w: bufio.NewWriterSize(rw, 64<<10)}
-}
+func NewConn(rw io.ReadWriter) *Conn { return &Conn{fc: frame.NewConn(rw, rw)} }
 
 // EnableFaultInjection opts this connection into the PREDATOR_FAULT
 // wire matrix (see fault.go). The server arms its side of every
@@ -69,190 +67,48 @@ func (c *Conn) EnableFaultInjection() *Conn {
 
 // Send writes one frame.
 func (c *Conn) Send(typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
 	if c.faulty {
-		if err := c.sendFault(hdr[:], payload); err != nil {
+		if err := c.fault("wiresend", typ, payload); err != nil {
 			return err
 		}
 	}
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
+	if err := c.fc.Send(typ, payload); err != nil {
+		return fmt.Errorf("wire: %w", err)
 	}
-	if _, err := c.w.Write(payload); err != nil {
-		return fmt.Errorf("wire: write payload: %w", err)
-	}
-	obsBytesOut.Add(int64(len(hdr) + len(payload)))
-	return c.w.Flush()
+	obsBytesOut.Add(int64(frame.HeaderSize + len(payload)))
+	return nil
 }
 
-// Recv reads one frame.
+// Recv reads one frame. The payload aliases the connection's receive
+// buffer until the next Recv: a caller that keeps bytes from it copies
+// them (see package frame).
 func (c *Conn) Recv() (byte, []byte, error) {
 	if c.faulty {
-		if err := c.recvFault(); err != nil {
+		if err := c.fault("wirerecv", 0, nil); err != nil {
 			return 0, nil, err
 		}
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	typ, payload, err := c.fc.Recv()
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wire: read payload: %w", err)
-	}
-	obsBytesIn.Add(int64(len(hdr)) + int64(n))
+	obsBytesIn.Add(int64(frame.HeaderSize + len(payload)))
 	obsFramesIn.Inc()
-	return hdr[4], payload, nil
+	return typ, payload, nil
 }
 
-// Writer builds frame payloads.
-type Writer struct {
-	Buf []byte
-}
-
-// Str appends a length-prefixed string.
-func (w *Writer) Str(s string) *Writer {
-	w.Buf = binary.AppendUvarint(w.Buf, uint64(len(s)))
-	w.Buf = append(w.Buf, s...)
-	return w
-}
-
-// Bytes appends a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) *Writer {
-	w.Buf = binary.AppendUvarint(w.Buf, uint64(len(b)))
-	w.Buf = append(w.Buf, b...)
-	return w
-}
-
-// Uvarint appends an unsigned varint.
-func (w *Writer) Uvarint(v uint64) *Writer {
-	w.Buf = binary.AppendUvarint(w.Buf, v)
-	return w
-}
-
-// Varint appends a signed varint.
-func (w *Writer) Varint(v int64) *Writer {
-	w.Buf = binary.AppendVarint(w.Buf, v)
-	return w
-}
-
-// Byte appends one raw byte.
-func (w *Writer) Byte(b byte) *Writer {
-	w.Buf = append(w.Buf, b)
-	return w
-}
-
-// Value appends an encoded value.
-func (w *Writer) Value(v types.Value) *Writer {
-	w.Buf = types.EncodeValue(w.Buf, v)
-	return w
-}
-
-// Schema appends an encoded schema.
-func (w *Writer) Schema(s *types.Schema) *Writer {
-	w.Uvarint(uint64(s.Arity()))
+// appendSchema appends an encoded schema.
+func appendSchema(buf []byte, s *types.Schema) []byte {
+	buf = binary.AppendUvarint(buf, uint64(s.Arity()))
 	for _, col := range s.Columns {
-		w.Str(col.Name)
-		w.Byte(byte(col.Kind))
+		buf = append(frame.AppendString(buf, col.Name), byte(col.Kind))
 	}
-	return w
+	return buf
 }
 
-// Reader parses frame payloads.
-type Reader struct {
-	Buf []byte
-	Off int
-	Err error
-}
-
-func (r *Reader) fail() {
-	if r.Err == nil {
-		r.Err = fmt.Errorf("wire: truncated frame at offset %d", r.Off)
-	}
-}
-
-// Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() uint64 {
-	if r.Err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.Buf[r.Off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.Off += n
-	return v
-}
-
-// Varint reads a signed varint.
-func (r *Reader) Varint() int64 {
-	if r.Err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.Buf[r.Off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.Off += n
-	return v
-}
-
-// Byte reads one raw byte.
-func (r *Reader) Byte() byte {
-	if r.Err != nil || r.Off >= len(r.Buf) {
-		r.fail()
-		return 0
-	}
-	b := r.Buf[r.Off]
-	r.Off++
-	return b
-}
-
-// Bytes reads a length-prefixed byte slice (copied).
-func (r *Reader) Bytes() []byte {
-	n := int(r.Uvarint())
-	if r.Err != nil || n < 0 || r.Off+n > len(r.Buf) {
-		r.fail()
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.Buf[r.Off:])
-	r.Off += n
-	return out
-}
-
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string { return string(r.Bytes()) }
-
-// Value reads an encoded value.
-func (r *Reader) Value() types.Value {
-	if r.Err != nil {
-		return types.Value{}
-	}
-	v, n, err := types.DecodeValue(r.Buf[r.Off:])
-	if err != nil {
-		r.Err = err
-		return types.Value{}
-	}
-	r.Off += n
-	return v.Clone()
-}
-
-// Schema reads an encoded schema.
-func (r *Reader) Schema() *types.Schema {
-	n := int(r.Uvarint())
-	if r.Err != nil || n < 0 || n > 1<<16 {
-		r.fail()
-		return nil
-	}
+// decodeSchema reads an encoded schema.
+func decodeSchema(r *frame.Cursor) *types.Schema {
+	n := r.Count(2) // a column is at least a name length and a kind
 	s := &types.Schema{Columns: make([]types.Column, 0, n)}
 	for i := 0; i < n; i++ {
 		name := r.Str()
@@ -273,27 +129,20 @@ const ErrFlagRetryable byte = 1 << 0
 // readers stop after the leading string, so the extension is
 // backward compatible in both directions.
 func EncodeError(msg, code string, retryable bool) []byte {
-	w := &Writer{}
-	w.Str(msg)
 	var flags byte
 	if retryable {
 		flags |= ErrFlagRetryable
 	}
-	w.Byte(flags)
-	w.Str(code)
-	return w.Buf
+	return frame.AppendString(append(frame.AppendString(nil, msg), flags), code)
 }
 
 // DecodeError parses a MsgError payload from either protocol
 // generation: bare-string payloads yield an empty code and
 // retryable=false.
 func DecodeError(payload []byte) (msg, code string, retryable bool) {
-	r := &Reader{Buf: payload}
+	r := frame.Cursor{Buf: payload}
 	msg = r.Str()
-	if r.Err != nil || r.Off >= len(r.Buf) {
-		return msg, "", false
-	}
-	flags := r.Byte()
+	flags := r.Byte() // a bare-string payload fails here
 	code = r.Str()
 	if r.Err != nil {
 		return msg, "", false
@@ -303,40 +152,37 @@ func DecodeError(payload []byte) (msg, code string, retryable bool) {
 
 // EncodeResult serializes a query result (schema, rows, message, plan).
 func EncodeResult(schema *types.Schema, rows []types.Row, affected int64, message, plan string) []byte {
-	w := &Writer{}
-	hasSchema := schema != nil
-	if hasSchema {
-		w.Byte(1)
-		w.Schema(schema)
-		w.Uvarint(uint64(len(rows)))
+	var buf []byte
+	if schema != nil {
+		buf = appendSchema(append(buf, 1), schema)
+		buf = binary.AppendUvarint(buf, uint64(len(rows)))
 		for _, row := range rows {
 			for _, v := range row {
-				w.Value(v)
+				buf = types.EncodeValue(buf, v)
 			}
 		}
 	} else {
-		w.Byte(0)
+		buf = append(buf, 0)
 	}
-	w.Varint(affected)
-	w.Str(message)
-	w.Str(plan)
-	return w.Buf
+	buf = binary.AppendVarint(buf, affected)
+	return frame.AppendString(frame.AppendString(buf, message), plan)
 }
 
-// DecodeResult parses a query result.
+// DecodeResult parses a query result. The rows are the caller's to
+// keep: every value is cloned out of the payload. The row count is
+// trusted only as far as the remaining bytes can hold that many rows,
+// so a short hostile payload cannot make it allocate.
 func DecodeResult(payload []byte) (schema *types.Schema, rows []types.Row, affected int64, message, plan string, err error) {
-	r := &Reader{Buf: payload}
+	r := frame.Cursor{Buf: payload}
 	if r.Byte() == 1 {
-		schema = r.Schema()
-		n := int(r.Uvarint())
-		if n < 0 || n > MaxFrame {
-			return nil, nil, 0, "", "", fmt.Errorf("wire: implausible row count %d", n)
-		}
+		schema = decodeSchema(&r)
+		arity := schema.Arity()
+		n := r.Count(arity) // a value is at least its tag byte
 		rows = make([]types.Row, 0, n)
 		for i := 0; i < n && r.Err == nil; i++ {
-			row := make(types.Row, schema.Arity())
+			row := make(types.Row, arity)
 			for j := range row {
-				row[j] = r.Value()
+				row[j] = r.Value().Clone()
 			}
 			rows = append(rows, row)
 		}

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"predator/internal/frame"
 	"predator/internal/types"
 )
 
@@ -51,48 +54,13 @@ func TestRecvRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-func TestWriterReaderPrimitives(t *testing.T) {
-	w := &Writer{}
-	w.Str("predator").Bytes([]byte{1, 2}).Uvarint(300).Varint(-5).Byte(0xAA)
-	w.Value(types.NewFloat(2.5))
-	r := &Reader{Buf: w.Buf}
-	if got := r.Str(); got != "predator" {
-		t.Errorf("str = %q", got)
-	}
-	if got := r.Bytes(); !bytes.Equal(got, []byte{1, 2}) {
-		t.Errorf("bytes = %v", got)
-	}
-	if got := r.Uvarint(); got != 300 {
-		t.Errorf("uvarint = %d", got)
-	}
-	if got := r.Varint(); got != -5 {
-		t.Errorf("varint = %d", got)
-	}
-	if got := r.Byte(); got != 0xAA {
-		t.Errorf("byte = %x", got)
-	}
-	if got := r.Value(); got.Float != 2.5 {
-		t.Errorf("value = %v", got)
-	}
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	// Reading past the end sets Err instead of panicking.
-	r.Byte()
-	if r.Err == nil {
-		t.Error("overread not detected")
-	}
-}
-
 func TestSchemaRoundTrip(t *testing.T) {
 	s := types.NewSchema(
 		types.Column{Name: "id", Kind: types.KindInt},
 		types.Column{Name: "payload", Kind: types.KindBytes},
 	)
-	w := &Writer{}
-	w.Schema(s)
-	r := &Reader{Buf: w.Buf}
-	got := r.Schema()
+	r := frame.Cursor{Buf: appendSchema(nil, s)}
+	got := decodeSchema(&r)
 	if r.Err != nil || !got.Equal(s) {
 		t.Errorf("schema = %s, err = %v", got, r.Err)
 	}
@@ -137,6 +105,22 @@ func TestDecodeResultCorrupt(t *testing.T) {
 			t.Errorf("truncated result (cut=%d) accepted", cut)
 		}
 	}
+	// A row-count bomb: five bytes claiming 2^20 zero-column rows must
+	// fail without allocating for the rows it claims.
+	bomb := binary.AppendUvarint([]byte{1, 0}, 1<<20)
+	var err error
+	if n := allocated(func() { _, _, _, _, _, err = DecodeResult(bomb) }); err == nil || n > 64<<10 {
+		t.Errorf("row-count bomb: err=%v after allocating %d bytes", err, n)
+	}
+}
+
+// allocated reports the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // Property: results of random int/string rows round-trip.

@@ -13,34 +13,36 @@ import (
 
 // layerImports is the module's import allow-list: for every package
 // (by directory), the module packages its non-test files may import.
-// The stack, bottom up: types, obs → storage, jvm, sql, wire, govern →
-// core → expr, isolate → fleet, exec → plan → engine → server, and the
-// public package over them. A new edge, or a new package, fails
+// The stack, bottom up: types, obs → frame → storage, jvm, sql, wire,
+// govern → core → expr, isolate → fleet, exec → plan → engine → server,
+// and the public package over them. A new edge, or a new package, fails
 // TestLayerImports until it is added here on purpose; so does an
 // import of a package that was deleted, such as the old evaluation
 // harness, since nothing lists it.
 var layerImports = map[string][]string{
 	"internal/types":   nil,
 	"internal/obs":     nil,
+	"internal/frame":   {"internal/types"},
 	"internal/storage": {"internal/obs"},
 	"internal/jvm":     {"internal/types"},
 	"internal/inline":  {"internal/jvm"},
 	"internal/jaguar":  {"internal/jvm"},
 	"internal/govern":  {"internal/obs"},
 	"internal/sql":     {"internal/types"},
-	"internal/wire":    {"internal/obs", "internal/types"},
-	"internal/catalog": {"internal/storage", "internal/types"},
+	"internal/wire":    {"internal/frame", "internal/obs", "internal/types"},
+	"internal/catalog": {"internal/frame", "internal/storage", "internal/types"},
 	"internal/core":    {"internal/types"},
 	"internal/expr":    {"internal/core", "internal/obs", "internal/types"},
-	"internal/isolate": {"internal/core", "internal/govern", "internal/jvm", "internal/obs", "internal/types"},
+	"internal/isolate": {"internal/core", "internal/frame", "internal/govern", "internal/jvm", "internal/obs", "internal/types"},
 	"internal/fleet":   {"internal/core", "internal/govern", "internal/isolate", "internal/obs", "internal/types"},
 	"internal/exec":    {"internal/core", "internal/expr", "internal/obs", "internal/storage", "internal/types"},
 	"internal/plan":    {"internal/catalog", "internal/core", "internal/exec", "internal/expr", "internal/sql", "internal/types"},
 	"internal/engine": {"internal/catalog", "internal/core", "internal/exec", "internal/expr", "internal/fleet",
 		"internal/govern", "internal/isolate", "internal/jaguar", "internal/jvm", "internal/obs", "internal/plan",
 		"internal/sql", "internal/storage", "internal/types"},
-	"internal/server": {"internal/core", "internal/engine", "internal/govern", "internal/obs", "internal/types", "internal/wire"},
-	"internal/client": {"internal/jaguar", "internal/jvm", "internal/types", "internal/wire"},
+	"internal/server": {"internal/core", "internal/engine", "internal/frame", "internal/govern", "internal/obs",
+		"internal/types", "internal/wire"},
+	"internal/client": {"internal/frame", "internal/jaguar", "internal/jvm", "internal/types", "internal/wire"},
 	".": {"internal/client", "internal/core", "internal/engine", "internal/govern", "internal/isolate",
 		"internal/jaguar", "internal/jvm", "internal/obs", "internal/server", "internal/storage", "internal/types"},
 	"benchmark": {".", "internal/core", "internal/exec", "internal/expr", "internal/plan", "internal/sql",
