@@ -88,6 +88,7 @@ func Open(disk *storage.DiskManager, pool *storage.BufferPool) (*Catalog, error)
 	}
 	c.file = storage.OpenHeapFile(disk, pool, catalogRoot)
 	sc := c.file.Scan()
+	defer sc.Close()
 	for sc.Next() {
 		rec := sc.Record()
 		if len(rec) == 0 {

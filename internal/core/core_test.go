@@ -278,3 +278,15 @@ func TestFaultMessageNamesNoLayer(t *testing.T) {
 		}
 	}
 }
+
+// Every successful crossing classifies a nil error, so that must not
+// allocate.
+func TestFaultClassOfNilDoesNotAllocate(t *testing.T) {
+	var err error
+	if c := FaultClassOf(err); c != FaultNone {
+		t.Fatalf("FaultClassOf(nil) = %v", c)
+	}
+	if n := testing.AllocsPerRun(100, func() { FaultClassOf(err) }); n != 0 {
+		t.Errorf("FaultClassOf(nil): %v allocs, want 0", n)
+	}
+}

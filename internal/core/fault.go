@@ -115,6 +115,9 @@ func (f *Fault) Unwrap() error { return f.Err }
 // FaultClassOf extracts the fault class from an error chain
 // (FaultNone when the error carries no classification).
 func FaultClassOf(err error) FaultClass {
+	if err == nil {
+		return FaultNone // before the errors.As target, which escapes
+	}
 	var f *Fault
 	if errors.As(err, &f) {
 		return f.Class

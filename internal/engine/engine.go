@@ -705,6 +705,7 @@ func (e *Engine) execDelete(del *sql.Delete, ec *expr.Ctx) (*Result, error) {
 	// Collect matching RIDs first, then delete (no mutation mid-scan).
 	var rids []storage.RID
 	sc := tbl.Heap().Scan()
+	defer sc.Close()
 	for sc.Next() {
 		if pred != nil {
 			row, err := types.DecodeRow(sc.Record(), tbl.Schema)
@@ -787,6 +788,7 @@ func (e *Engine) execUpdate(upd *sql.Update, ec *expr.Ctx) (*Result, error) {
 	}
 	var changes []change
 	sc := tbl.Heap().Scan()
+	defer sc.Close()
 	for sc.Next() {
 		row, err := types.DecodeRow(sc.Record(), tbl.Schema)
 		if err != nil {

@@ -45,6 +45,7 @@ func (s *SeqScan) Schema() *types.Schema { return s.Sch }
 
 // Open implements Operator.
 func (s *SeqScan) Open(*expr.Ctx) error {
+	s.Close()
 	s.scanner = s.Heap.Scan()
 	return nil
 }
@@ -68,9 +69,12 @@ func (s *SeqScan) Next() (types.Row, error) {
 	return row, nil
 }
 
-// Close implements Operator.
+// Close implements Operator. It releases the scanner's page pin.
 func (s *SeqScan) Close() error {
-	s.scanner = nil
+	if s.scanner != nil {
+		s.scanner.Close()
+		s.scanner = nil
+	}
 	rowsSeqScan.Add(s.rows)
 	s.rows = 0
 	return nil

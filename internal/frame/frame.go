@@ -110,18 +110,36 @@ func (c *Conn) Recv() (typ byte, payload []byte, err error) {
 }
 
 // builders recycles send-side payload builders so encoding a frame does
-// not allocate per crossing.
-var builders = sync.Pool{New: func() any { return []byte(nil) }}
+// not allocate per crossing. It holds them behind pointers, since a
+// slice stored in a sync.Pool boxes its header on every Put; boxes
+// recycles the emptied pointers, so neither Take nor Put allocates once
+// warm.
+var builders, boxes sync.Pool
 
 // Take returns an empty payload builder with whatever capacity a prior
 // frame grew it to.
-func Take() []byte { return builders.Get().([]byte)[:0] }
+func Take() []byte {
+	p, _ := builders.Get().(*[]byte)
+	if p == nil {
+		return nil
+	}
+	buf := *p
+	*p = nil
+	boxes.Put(p)
+	return buf[:0]
+}
 
 // Put returns a builder to the pool once its frame is sent.
 func Put(buf []byte) {
-	if cap(buf) <= MaxFrame {
-		builders.Put(buf[:0]) //nolint:staticcheck // slice header allocation is amortized
+	if cap(buf) == 0 || cap(buf) > MaxFrame {
+		return
 	}
+	p, _ := boxes.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	*p = buf[:0]
+	builders.Put(p)
 }
 
 // AppendString appends a uvarint-length-prefixed string.

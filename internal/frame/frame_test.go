@@ -151,3 +151,12 @@ func TestPooledBuilders(t *testing.T) {
 		t.Fatalf("Take returned %d bytes", len(got))
 	}
 }
+
+// A Take+Put pair allocates nothing once the pool is warm; a slice put
+// into a sync.Pool as it is would box its header every time.
+func TestTakePutDoesNotAllocate(t *testing.T) {
+	Put(AppendString(Take(), "warm"))
+	if n := testing.AllocsPerRun(100, func() { Put(AppendString(Take(), "hello")) }); n != 0 {
+		t.Errorf("Take+Put: %v allocs, want 0", n)
+	}
+}

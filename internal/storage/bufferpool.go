@@ -21,11 +21,18 @@ var (
 // Fig. 4 calibration measures exactly this path.
 //
 // The pool enforces the WAL-before-data ordering for pages it caches:
-// a dirty page's change is appended to the log when its last pin is
-// released (and again before eviction or FlushAll if it was
-// re-dirtied), so no dirty page can reach the data file ahead of its
-// log record, and a statement-boundary Commit captures every page the
-// statement touched even if it is still only in memory.
+// a dirty page's change is appended to the log when its writer
+// releases the pin, even if a scan still holds the page pinned (and
+// again before eviction or FlushAll if it was re-dirtied), so no dirty
+// page can reach the data file ahead of its log record, and a
+// statement-boundary Commit captures every page the statement touched
+// even if it is still only in memory.
+//
+// An evicted frame is reused, zeroed, for the next miss or Allocate,
+// so a scan over a table larger than the pool allocates no pages. Only
+// an eviction victim is reused: it is unpinned, so no holder can see
+// the reuse, while a frame detached under a pin (Drop, a reused page
+// ID) is left to its holders.
 //
 // What is appended is decided per unpin, with no option: the byte
 // ranges the pin's holder marked (Page.Insert/Delete/SetNext/Init mark
@@ -191,34 +198,43 @@ func (bp *BufferPool) allocFrameLocked(id PageID) (*frame, error) {
 	if old, ok := bp.frames[id]; ok {
 		bp.detachLocked(old)
 	}
-	if len(bp.frames) >= bp.capacity {
-		if err := bp.evictLocked(); err != nil {
-			return nil, err
-		}
+	if len(bp.frames) < bp.capacity {
+		f := &frame{id: id, pins: 1}
+		bp.frames[id] = f
+		return f, nil
 	}
-	f := &frame{id: id, pins: 1}
+	f, err := bp.evictLocked()
+	if err != nil {
+		return nil, err
+	}
+	// The victim was unpinned, so nothing references it any more: reuse
+	// it, zeroed, since Allocate hands out the all-zero page that its
+	// log record describes.
+	*f = frame{id: id, pins: 1, pending: f.pending[:0]}
 	bp.frames[id] = f
 	return f, nil
 }
 
-func (bp *BufferPool) evictLocked() error {
+// evictLocked writes back and detaches the least recently used
+// unpinned frame, and returns it for reuse.
+func (bp *BufferPool) evictLocked() (*frame, error) {
 	ele := bp.lru.Front()
 	if ele == nil {
-		return fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", bp.capacity)
+		return nil, fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", bp.capacity)
 	}
 	victim := ele.Value.(*frame)
 	if victim.dirty {
 		if err := bp.logLocked(victim); err != nil {
-			return err
+			return nil, err
 		}
 		if err := bp.disk.Write(victim.id, victim.buf[:]); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	bp.detachLocked(victim)
 	bp.stats.Evictions++
 	obsPoolEvictions.Inc()
-	return nil
+	return victim, nil
 }
 
 // detachLocked removes a frame from the pool's index and LRU list and
@@ -288,15 +304,15 @@ func (bp *BufferPool) unpin(pp *PinnedPage, dirty bool) {
 	if f.dropped {
 		return
 	}
+	if f.dirty && !f.logged && (dirty || f.pins == 0) {
+		// The writer is done with the page, so get its redo record
+		// into the log before the statement can be acknowledged, even
+		// while a scan still holds the page pinned. On failure the
+		// frame stays unlogged; the next unpin, eviction or FlushAll
+		// retries and surfaces the error on the write path.
+		_ = bp.logLocked(f)
+	}
 	if f.pins == 0 {
-		if f.dirty && !f.logged {
-			// Last pin released: the page's final contents for this
-			// statement are known, so get its redo record into the log
-			// before the statement can be acknowledged. On failure the
-			// frame stays unlogged; eviction/FlushAll retries and
-			// surfaces the error on the write path.
-			_ = bp.logLocked(f)
-		}
 		f.lruEle = bp.lru.PushBack(f)
 	}
 }

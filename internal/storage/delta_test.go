@@ -313,7 +313,7 @@ func TestUnpinLogsDeltaOnlyOnABase(t *testing.T) {
 	step("insert on the new base", 0, 1, 200, insert)
 	// So does eviction: the frame, and what it knew, is gone.
 	pool.mu.Lock()
-	err = pool.evictLocked()
+	_, err = pool.evictLocked()
 	pool.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

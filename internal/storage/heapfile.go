@@ -321,15 +321,20 @@ func (h *HeapFile) Stats() (HeapStats, error) {
 	return st, nil
 }
 
-// Scan returns an iterator over all live records in the file.
+// Scan returns an iterator over all live records in the file. A caller
+// that can stop before the end must Close it.
 func (h *HeapFile) Scan() *Scanner {
-	return &Scanner{hf: h, page: h.first, slot: 0}
+	return &Scanner{hf: h, page: h.first}
 }
 
-// Scanner iterates a heap file page by page, slot by slot.
+// Scanner iterates a heap file page by page, slot by slot. It holds at
+// most one pin: it fetches a page once and reads every slot from the
+// pinned frame, and it releases the pin when it moves to the next
+// page, at the end of the file, on an error and at Close.
 type Scanner struct {
 	hf   *HeapFile
 	page PageID
+	pp   *PinnedPage // the pin on page; nil between pages
 	slot int
 	err  error
 
@@ -341,12 +346,14 @@ type Scanner struct {
 // of the file or on error (check Err).
 func (s *Scanner) Next() bool {
 	for s.page != InvalidPageID {
-		pp, err := s.hf.pool.Fetch(s.page)
-		if err != nil {
-			s.err = err
-			return false
+		if s.pp == nil {
+			pp, err := s.hf.pool.Fetch(s.page)
+			if err != nil {
+				return s.fail(err)
+			}
+			s.pp = pp
 		}
-		pg := pp.Page()
+		pg := s.pp.Page()
 		for s.slot < pg.NumSlots() {
 			rec, isLarge, first, totalLen, ok := pg.Record(s.slot)
 			s.slot++
@@ -355,11 +362,12 @@ func (s *Scanner) Next() bool {
 			}
 			s.rid = RID{Page: s.page, Slot: uint16(s.slot - 1)}
 			if isLarge {
-				pp.Unpin(false)
+				// The overflow chain needs frames of its own; the next
+				// record fetches this page again.
+				s.unpin()
 				out, err := s.hf.readOverflow(first, totalLen)
 				if err != nil {
-					s.err = err
-					return false
+					return s.fail(err)
 				}
 				s.rec = out
 				return true
@@ -367,14 +375,33 @@ func (s *Scanner) Next() bool {
 			out := make([]byte, len(rec))
 			copy(out, rec)
 			s.rec = out
-			pp.Unpin(false)
 			return true
 		}
 		next := pg.Next()
-		pp.Unpin(false)
+		s.unpin()
 		s.page = next
 		s.slot = 0
 	}
+	return false
+}
+
+// Close ends the scan and releases its pin. It may be called more than
+// once, and after Next has returned false.
+func (s *Scanner) Close() {
+	s.unpin()
+	s.page = InvalidPageID
+}
+
+func (s *Scanner) unpin() {
+	if s.pp != nil {
+		s.pp.Unpin(false)
+		s.pp = nil
+	}
+}
+
+func (s *Scanner) fail(err error) bool {
+	s.err = err
+	s.Close()
 	return false
 }
 

@@ -1,8 +1,10 @@
 package predator
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"slices"
@@ -76,12 +78,10 @@ var crossLayer = map[string][]string{
 
 const module = "predator"
 
-// moduleImports parses every non-test Go file in the module and
-// returns, per package directory, the module packages it imports.
-func moduleImports(t *testing.T) map[string]map[string]bool {
+// sourceFiles returns the path of every non-test Go file in the module.
+func sourceFiles(t *testing.T) []string {
 	t.Helper()
-	fset := token.NewFileSet()
-	pkgs := map[string]map[string]bool{}
+	var paths []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -94,12 +94,27 @@ func moduleImports(t *testing.T) map[string]map[string]bool {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
+		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			paths = append(paths, path)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// moduleImports parses every non-test Go file in the module and
+// returns, per package directory, the module packages it imports.
+func moduleImports(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs := map[string]map[string]bool{}
+	for _, path := range sourceFiles(t) {
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		if pkgs[dir] == nil {
@@ -108,7 +123,7 @@ func moduleImports(t *testing.T) map[string]map[string]bool {
 		for _, spec := range f.Imports {
 			imp, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
 			if imp == module {
 				pkgs[dir]["."] = true
@@ -116,10 +131,6 @@ func moduleImports(t *testing.T) map[string]map[string]bool {
 				pkgs[dir][rel] = true
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return pkgs
 }
@@ -147,4 +158,93 @@ func TestLayerImports(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scanCloseExempt names, by "dir: Recv.Func", the functions that may
+// take a heap-file scanner without deferring its Close. An entry that
+// no function needs any more fails TestScannersClosed, so the list only
+// shrinks.
+var scanCloseExempt = map[string]string{
+	"internal/exec: SeqScan.Open": "the operator's Close releases the scanner",
+	// The benchmark's probes predate Scanner.Close. Their scans run to
+	// the end, which releases the pin, except when newLayerProbe's
+	// setup fails mid-scan and the pass is abandoned.
+	"benchmark: newLayerProbe":   "setup scan; the pass ends if it fails",
+	"benchmark: layerProbe.scan": "scans to the end",
+}
+
+// TestScannersClosed: a heap-file scanner pins the page it is on, so a
+// function that takes one (sc := x.Scan()) must `defer sc.Close()` or a
+// return mid-scan leaks the pin, and enough leaks exhaust the pool.
+func TestScannersClosed(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	for _, path := range sourceFiles(t) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			scanners, closed := map[string]token.Pos{}, map[string]bool{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for i, rhs := range n.Rhs {
+						if i < len(n.Lhs) && isScanCall(rhs) {
+							scanners[types.ExprString(n.Lhs[i])] = n.Pos()
+						}
+					}
+				case *ast.DeferStmt:
+					if sel, ok := n.Call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Close" {
+						closed[types.ExprString(sel.X)] = true
+					}
+				}
+				return true
+			})
+			name := dir + ": " + funcName(fn)
+			for sc, pos := range scanners {
+				if closed[sc] {
+					continue
+				}
+				if _, ok := scanCloseExempt[name]; ok {
+					used[name] = true
+					continue
+				}
+				t.Errorf("%s: %s takes a scanner %s without `defer %s.Close()`", fset.Position(pos), name, sc, sc)
+			}
+		}
+	}
+	for name := range scanCloseExempt {
+		if !used[name] {
+			t.Errorf("scanner exemption %q is no longer needed; delete it", name)
+		}
+	}
+}
+
+// isScanCall reports whether e is a call x.Scan() without arguments,
+// the form in which a heap file hands out a scanner.
+func isScanCall(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Scan"
+}
+
+// funcName renders a declaration as Recv.Func, or Func.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return fn.Name.Name
+	}
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	return types.ExprString(recv) + "." + fn.Name.Name
 }
