@@ -704,12 +704,15 @@ func (e *Engine) execDelete(del *sql.Delete, ec *expr.Ctx) (*Result, error) {
 	}
 	// Collect matching RIDs first, then delete (no mutation mid-scan).
 	var rids []storage.RID
+	var rec []byte
+	var row types.Row
 	sc := tbl.Heap().Scan()
 	defer sc.Close()
 	for sc.Next() {
 		if pred != nil {
-			row, err := types.DecodeRow(sc.Record(), tbl.Schema)
-			if err != nil {
+			rec = sc.AppendRecord(rec[:0])
+			var err error
+			if row, err = types.DecodeRowInto(row, rec, tbl.Schema); err != nil {
 				return nil, err
 			}
 			v, err := pred.Eval(ec, row)
@@ -787,11 +790,14 @@ func (e *Engine) execUpdate(upd *sql.Update, ec *expr.Ctx) (*Result, error) {
 		row types.Row
 	}
 	var changes []change
+	var rec []byte
+	var row types.Row
 	sc := tbl.Heap().Scan()
 	defer sc.Close()
 	for sc.Next() {
-		row, err := types.DecodeRow(sc.Record(), tbl.Schema)
-		if err != nil {
+		rec = sc.AppendRecord(rec[:0])
+		var err error
+		if row, err = types.DecodeRowInto(row, rec, tbl.Schema); err != nil {
 			return nil, err
 		}
 		if pred != nil {

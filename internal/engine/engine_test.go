@@ -21,6 +21,9 @@ var testNatives = isolate.NativeTable{
 	"iso_len": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
 		return types.NewInt(int64(len(args[0].Bytes))), nil
 	},
+	"iso_long": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
+		return types.NewBool(len(args[0].Bytes) > 500), nil
+	},
 	// iso_hang loops forever: only executor supervision can stop it.
 	"iso_hang": func(ctx *core.Ctx, args []types.Value) (types.Value, error) {
 		for {

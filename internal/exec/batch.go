@@ -39,11 +39,12 @@ const batchByteCap = 4 << 20
 // results. Filter fills res (predicate verdicts); Project fills out
 // (assembled output rows).
 type window struct {
-	rows []types.Row
-	res  []core.BatchResult
-	out  []types.Row
-	base int64 // absolute input index of rows[0], for error reporting
-	err  error
+	rows  []types.Row
+	arena rowArena // rows' storage: a row must outlive the input's next Next
+	res   []core.BatchResult
+	out   []types.Row
+	base  int64 // absolute input index of rows[0], for error reporting
+	err   error
 	// panicked carries a panic out of the evaluation goroutine so it can
 	// be re-raised on the operator's own goroutine, where the caller's
 	// recovery (e.g. the server's per-request recover) sees it exactly
@@ -187,7 +188,7 @@ func (b *batchState) gather() *window {
 			b.eof = true
 			break
 		}
-		w.rows = append(w.rows, row)
+		w.rows = append(w.rows, w.arena.clone(row))
 		if bytes += rowFootprint(row); bytes >= batchByteCap {
 			break
 		}
@@ -253,12 +254,13 @@ func (b *batchState) drain() {
 	}
 }
 
-// recycle returns a window's slices to the spare pool for reuse. Only
-// the headers are reused; emitted rows are owned by the consumer.
+// recycle returns a window's slices to the spare pool for reuse. The
+// rows it emitted are dead by now: the consumer's next Next got here.
 func (b *batchState) recycle(w *window) {
 	w.rows = w.rows[:0]
 	w.err = nil
 	if len(b.spare) < 2 {
+		w.arena.reset()
 		b.spare = append(b.spare, w)
 	}
 }
@@ -351,10 +353,15 @@ func batchProjectState(ec *expr.Ctx, input Operator, exprs []expr.Bound) *batchS
 			w.out = make([]types.Row, n)
 		}
 		w.out = w.out[:n]
-		for i := range w.out {
-			// Fresh output rows per window: consumers own emitted rows,
-			// exactly as on the scalar path.
-			w.out[i] = make(types.Row, len(exprs))
+		for i, row := range w.out {
+			// A consumer holds an emitted row only until its next Next,
+			// and a window is recycled after its last row is emitted,
+			// so a recycled window's output rows are reused.
+			if row == nil {
+				w.out[i] = make(types.Row, len(exprs))
+			} else {
+				clear(row)
+			}
 		}
 		if cap(rowErr) < n {
 			rowErr = make([]error, n)

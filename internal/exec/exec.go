@@ -6,6 +6,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"predator/internal/expr"
@@ -15,12 +16,19 @@ import (
 )
 
 // Operator is one node of a physical query plan.
+//
+// A row from Next, and any BYTES in it, is valid only until the next
+// Next or Close on the same operator: a scan decodes every record into
+// one row and one record buffer that it reuses. An operator that keeps
+// rows longer (Sort, the inner side of NestedLoopJoin, Aggregate's
+// group keys and extremes, a batch window, Run) clones them.
 type Operator interface {
 	// Schema describes the rows this operator produces.
 	Schema() *types.Schema
 	// Open prepares the operator for iteration.
 	Open(ec *expr.Ctx) error
-	// Next returns the next row, or nil at end of stream.
+	// Next returns the next row, or nil at end of stream. The row is
+	// valid until the next Next or Close.
 	Next() (types.Row, error)
 	// Close releases resources. Safe to call after a failed Open.
 	Close() error
@@ -30,13 +38,19 @@ type Operator interface {
 	Children() []Operator
 }
 
-// SeqScan reads every live record of a heap file.
+// SeqScan reads every live record of a heap file. It copies each
+// record out of the page into one buffer of its own and decodes it into
+// one row, both reused for the next record. The buffer is never the
+// page frame: a UDF may write into a BYTES argument, and what it writes
+// must not reach the buffer pool.
 type SeqScan struct {
 	estNote
 	Table   string
 	Heap    *storage.HeapFile
 	Sch     *types.Schema
 	scanner *storage.Scanner
+	rec     []byte    // the current record
+	row     types.Row // the current row, decoded from rec
 	rows    int64
 }
 
@@ -61,10 +75,12 @@ func (s *SeqScan) Next() (types.Row, error) {
 		}
 		return nil, nil
 	}
-	row, err := types.DecodeRow(s.scanner.Record(), s.Sch)
+	s.rec = s.scanner.AppendRecord(s.rec[:0])
+	row, err := types.DecodeRowInto(s.row, s.rec, s.Sch)
 	if err != nil {
 		return nil, fmt.Errorf("exec: decode record %s of %s: %w", s.scanner.RID(), s.Table, err)
 	}
+	s.row = row
 	s.rows++
 	return row, nil
 }
@@ -182,6 +198,7 @@ type Project struct {
 	ec    *expr.Ctx
 	bs    *batchState
 	sch   *types.Schema
+	out   types.Row // the per-tuple path's output row, reused
 	rows  int64
 }
 
@@ -222,16 +239,18 @@ func (p *Project) Next() (types.Row, error) {
 	if err != nil || row == nil {
 		return nil, err
 	}
-	out := make(types.Row, len(p.Exprs))
+	if p.out == nil {
+		p.out = make(types.Row, len(p.Exprs))
+	}
 	for i, e := range p.Exprs {
 		v, err := e.Eval(p.ec, row)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		p.out[i] = v
 	}
 	p.rows++
-	return out, nil
+	return p.out, nil
 }
 
 // Close implements Operator.
@@ -395,6 +414,9 @@ func (s *Sort) Open(ec *expr.Ctx) error {
 		if row == nil {
 			break
 		}
+		// The keys are evaluated over the kept copy, so a BYTES key
+		// does not alias the input's reused storage.
+		row = row.Clone()
 		keys := make(types.Row, len(s.Keys))
 		for i, k := range s.Keys {
 			v, err := k.Expr.Eval(ec, row)
@@ -403,7 +425,7 @@ func (s *Sort) Open(ec *expr.Ctx) error {
 			}
 			keys[i] = v
 		}
-		all = append(all, keyed{row: row.Clone(), keys: keys})
+		all = append(all, keyed{row: row, keys: keys})
 	}
 	var sortErr error
 	sort.SliceStable(all, func(a, b int) bool {
@@ -537,7 +559,9 @@ func (v *Values) Explain() string { return fmt.Sprintf("Values(%d rows)", len(v.
 // Children implements Operator.
 func (v *Values) Children() []Operator { return nil }
 
-// Run drains an operator into a materialized result.
+// Run drains an operator into a materialized result. It clones every
+// row, since a row from Next lives only until the next call, into a
+// rowArena: one allocation per slab, not per row or BYTES value.
 func Run(op Operator, ec *expr.Ctx) ([]types.Row, error) {
 	if err := op.Open(ec); err != nil {
 		op.Close()
@@ -549,6 +573,7 @@ func Run(op Operator, ec *expr.Ctx) ([]types.Row, error) {
 		flight = ec.Exec
 	}
 	var out []types.Row
+	var arena rowArena
 	for {
 		if err := ec.Check(); err != nil {
 			return nil, err
@@ -563,9 +588,76 @@ func Run(op Operator, ec *expr.Ctx) ([]types.Row, error) {
 		if err := ec.Charge(int64(rowFootprint(row))); err != nil {
 			return nil, err
 		}
-		out = append(out, row.Clone())
+		if len(out) == cap(out) {
+			// Double: append grows a long slice by a quarter, which
+			// copies each row header about four times over.
+			out = slices.Grow(out, max(len(out), 16))
+		}
+		out = append(out, arena.clone(row))
 		flight.AddRows(1)
 	}
+}
+
+// Slab sizes of a rowArena: a new slab is twice the last, from the
+// minimum up to the maximum, and never smaller than what it must hold.
+// The maximum bounds what a slab can leave unused at the end.
+const (
+	minSlabValues, maxSlabValues = 16, 1024
+	minSlabBytes, maxSlabBytes   = 1 << 10, 64 << 10
+)
+
+// rowArena clones rows into slabs of values and of bytes. Each clone
+// is capped at its own length (s[a:b:b]), so an append to one row or
+// BYTES value reallocates instead of reaching the next.
+type rowArena struct {
+	vals  []types.Value
+	bytes []byte
+	// What the arena has cloned since its last reset.
+	nvals, nbytes int
+}
+
+// clone returns a deep copy of row in the arena's storage.
+func (a *rowArena) clone(row types.Row) types.Row {
+	if a.vals == nil || len(row) > cap(a.vals)-len(a.vals) {
+		a.vals = make([]types.Value, 0, max(min(2*cap(a.vals), maxSlabValues), minSlabValues, len(row)))
+	}
+	start := len(a.vals)
+	for _, v := range row {
+		if v.Kind == types.KindBytes && v.Bytes != nil {
+			v.Bytes = a.cloneBytes(v.Bytes)
+		}
+		a.vals = append(a.vals, v)
+	}
+	a.nvals += len(row)
+	return a.vals[start:len(a.vals):len(a.vals)]
+}
+
+func (a *rowArena) cloneBytes(b []byte) []byte {
+	if len(b) == 0 {
+		return b[:0:0]
+	}
+	if len(b) > cap(a.bytes)-len(a.bytes) {
+		a.bytes = make([]byte, 0, max(min(2*cap(a.bytes), maxSlabBytes), minSlabBytes, len(b)))
+	}
+	start := len(a.bytes)
+	a.bytes = append(a.bytes, b...)
+	a.nbytes += len(b)
+	return a.bytes[start:len(a.bytes):len(a.bytes)]
+}
+
+// reset lets the arena overwrite its storage: every row it has cloned
+// must be dead. The slabs it keeps are sized to what it cloned since
+// the last reset, so an arena that holds about as much each time, such
+// as a batch window's, stops allocating.
+func (a *rowArena) reset() {
+	if a.nvals > cap(a.vals) {
+		a.vals = make([]types.Value, 0, a.nvals)
+	}
+	if a.nbytes > cap(a.bytes) {
+		a.bytes = make([]byte, 0, a.nbytes)
+	}
+	a.vals, a.bytes = a.vals[:0], a.bytes[:0]
+	a.nvals, a.nbytes = 0, 0
 }
 
 // ExplainTree renders a plan tree with indentation.

@@ -279,3 +279,63 @@ func (c *countingOp) Next() (types.Row, error) { return c.inner.Next() }
 func (c *countingOp) Close() error             { return c.inner.Close() }
 func (c *countingOp) Explain() string          { return fmt.Sprintf("Counting(%d)", c.opens) }
 func (c *countingOp) Children() []Operator     { return []Operator{c.inner} }
+
+// Run clones each row out of the operator's reused storage (Project
+// returns one row over and over) into shared slabs, each row capped at
+// its own length: an append to one row reallocates instead of writing
+// over the next.
+func TestRunRowsAreCappedSlabs(t *testing.T) {
+	in := &Values{Sch: intSchema(), Rows: rows([2]int64{1, 10}, [2]int64{2, 20}, [2]int64{3, 30})}
+	p := &Project{Input: in, Exprs: []expr.Bound{colB(), colA()}, Names: []string{"b", "a"}}
+	out, err := Run(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 3 {
+		t.Fatalf("out = %v", out)
+	}
+	for i, r := range out {
+		if cap(r) != len(r) {
+			t.Errorf("row %d has cap %d, len %d", i, cap(r), len(r))
+		}
+	}
+	_ = append(out[0], types.NewInt(99))
+	if fmt.Sprint(out) != "[(10, 1) (20, 2) (30, 3)]" {
+		t.Errorf("after an append to row 0: %v", out)
+	}
+}
+
+// A rowArena's clones own their bytes and are capped at their length,
+// and after a reset an arena that clones as much again allocates
+// nothing: what lets a recycled batch window gather without allocating.
+func TestRowArenaClonesAndReuses(t *testing.T) {
+	src := types.Row{types.NewInt(1), types.NewBytes([]byte("abc")), types.NewBytes([]byte{})}
+	var a rowArena
+	fill := func() []types.Row {
+		var kept []types.Row
+		for range 100 {
+			kept = append(kept, a.clone(src))
+		}
+		return kept
+	}
+	kept := fill()
+	src[1].Bytes[0] = 'X'
+	for _, r := range kept {
+		if string(r[1].Bytes) != "abc" || cap(r[1].Bytes) != 3 || cap(r) != 3 {
+			t.Fatalf("clone %v: bytes cap %d, row cap %d", r, cap(r[1].Bytes), cap(r))
+		}
+		if r[2].Bytes == nil || cap(r[2].Bytes) != 0 {
+			t.Fatalf("empty BYTES cloned as %#v", r[2].Bytes)
+		}
+	}
+	kept = kept[:0]
+	if n := testing.AllocsPerRun(10, func() {
+		a.reset()
+		for range 100 {
+			kept = append(kept, a.clone(src))
+		}
+		kept = kept[:0]
+	}); n != 0 {
+		t.Errorf("cloning into a reset arena made %.1f allocations, want 0", n)
+	}
+}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
@@ -50,7 +49,7 @@ type BufferPool struct {
 	disk     *DiskManager
 	capacity int
 	frames   map[PageID]*frame
-	lru      *list.List // unpinned frames, front = least recently used
+	lru      lruList // unpinned resident frames
 
 	stats BufferStats
 }
@@ -67,9 +66,13 @@ type frame struct {
 	buf     [PageSize]byte
 	pins    int
 	dirty   bool
-	logged  bool          // dirty contents are already in the WAL
-	dropped bool          // detached from the pool; discard at unpin
-	lruEle  *list.Element // non-nil iff unpinned and resident
+	logged  bool // dirty contents are already in the WAL
+	dropped bool // detached from the pool; discard at unpin
+
+	// The frame's links in the pool's LRU list, which holds it iff it
+	// is unpinned and resident.
+	prev, next *frame
+	inLRU      bool
 
 	// What the next log record of this frame must carry.
 	base    uint64      // log generation holding the page's image; 0 = none
@@ -140,31 +143,42 @@ func NewBufferPool(disk *DiskManager, capacity int) *BufferPool {
 		disk:     disk,
 		capacity: capacity,
 		frames:   make(map[PageID]*frame, capacity),
-		lru:      list.New(),
 	}
 }
 
 // Fetch pins the page with the given ID, reading it from disk on a miss.
 func (bp *BufferPool) Fetch(id PageID) (*PinnedPage, error) {
+	pp := new(PinnedPage)
+	if err := bp.fetchInto(pp, id); err != nil {
+		return nil, err
+	}
+	return pp, nil
+}
+
+// fetchInto is Fetch into a handle the caller provides, so that a scan
+// can pin page after page through one handle.
+func (bp *BufferPool) fetchInto(pp *PinnedPage, id PageID) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
 		bp.stats.Hits++
 		obsPoolHits.Inc()
 		bp.pinLocked(f)
-		return &PinnedPage{pool: bp, frame: f}, nil
+		*pp = PinnedPage{pool: bp, frame: f}
+		return nil
 	}
 	bp.stats.Misses++
 	obsPoolMisses.Inc()
 	f, err := bp.allocFrameLocked(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := bp.disk.Read(id, f.buf[:]); err != nil {
 		delete(bp.frames, id)
-		return nil, err
+		return err
 	}
-	return &PinnedPage{pool: bp, frame: f}, nil
+	*pp = PinnedPage{pool: bp, frame: f}
+	return nil
 }
 
 // Allocate creates a brand-new page (formatted as an empty slotted
@@ -218,11 +232,10 @@ func (bp *BufferPool) allocFrameLocked(id PageID) (*frame, error) {
 // evictLocked writes back and detaches the least recently used
 // unpinned frame, and returns it for reuse.
 func (bp *BufferPool) evictLocked() (*frame, error) {
-	ele := bp.lru.Front()
-	if ele == nil {
+	victim := bp.lru.front
+	if victim == nil {
 		return nil, fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned)", bp.capacity)
 	}
-	victim := ele.Value.(*frame)
 	if victim.dirty {
 		if err := bp.logLocked(victim); err != nil {
 			return nil, err
@@ -241,10 +254,7 @@ func (bp *BufferPool) evictLocked() (*frame, error) {
 // marks it dropped, so outstanding pins discard it at unpin instead of
 // returning it to the LRU.
 func (bp *BufferPool) detachLocked(f *frame) {
-	if f.lruEle != nil {
-		bp.lru.Remove(f.lruEle)
-		f.lruEle = nil
-	}
+	bp.lru.remove(f)
 	delete(bp.frames, f.id)
 	f.dropped = true
 }
@@ -277,11 +287,42 @@ func (f *frame) markLogged(gen uint64) {
 }
 
 func (bp *BufferPool) pinLocked(f *frame) {
-	if f.lruEle != nil {
-		bp.lru.Remove(f.lruEle)
-		f.lruEle = nil
-	}
+	bp.lru.remove(f)
 	f.pins++
+}
+
+// lruList is a doubly linked list threaded through the frames
+// themselves, so moving a frame in or out of it allocates nothing.
+type lruList struct {
+	front, back *frame // front = least recently used
+}
+
+func (l *lruList) pushBack(f *frame) {
+	f.prev, f.next, f.inLRU = l.back, nil, true
+	if l.back != nil {
+		l.back.next = f
+	} else {
+		l.front = f
+	}
+	l.back = f
+}
+
+// remove unlinks f if it is in the list.
+func (l *lruList) remove(f *frame) {
+	if !f.inLRU {
+		return
+	}
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		l.front = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		l.back = f.prev
+	}
+	f.prev, f.next, f.inLRU = nil, nil, false
 }
 
 func (bp *BufferPool) unpin(pp *PinnedPage, dirty bool) {
@@ -313,7 +354,7 @@ func (bp *BufferPool) unpin(pp *PinnedPage, dirty bool) {
 		_ = bp.logLocked(f)
 	}
 	if f.pins == 0 {
-		f.lruEle = bp.lru.PushBack(f)
+		bp.lru.pushBack(f)
 	}
 }
 

@@ -173,7 +173,10 @@ func TestBufferPoolFetchErrorLeavesNoOrphan(t *testing.T) {
 	}
 	pool.mu.Lock()
 	_, orphan := pool.frames[PageID(99)]
-	lruLen := pool.lru.Len()
+	lruLen := 0
+	for f := pool.lru.front; f != nil; f = f.next {
+		lruLen++
+	}
 	pool.mu.Unlock()
 	if orphan {
 		t.Fatalf("failed Fetch left an orphaned frame")

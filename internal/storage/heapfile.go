@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -182,15 +183,17 @@ func (h *HeapFile) Get(rid RID) ([]byte, bool, error) {
 		copy(out, rec)
 		return out, true, nil
 	}
-	out, err := h.readOverflow(first, totalLen)
+	out, err := h.readOverflow(nil, first, totalLen)
 	if err != nil {
 		return nil, false, err
 	}
 	return out, true, nil
 }
 
-func (h *HeapFile) readOverflow(first PageID, totalLen uint32) ([]byte, error) {
-	out := make([]byte, 0, totalLen)
+// readOverflow appends the totalLen-byte record stored in the overflow
+// chain that starts at first to dst.
+func (h *HeapFile) readOverflow(dst []byte, first PageID, totalLen uint32) ([]byte, error) {
+	out := slices.Grow(dst, int(totalLen))
 	id := first
 	for id != InvalidPageID {
 		pp, err := h.pool.Fetch(id)
@@ -208,8 +211,8 @@ func (h *HeapFile) readOverflow(first PageID, totalLen uint32) ([]byte, error) {
 		pp.Unpin(false)
 		id = next
 	}
-	if uint32(len(out)) != totalLen {
-		return nil, fmt.Errorf("storage: overflow chain yielded %d bytes, want %d", len(out), totalLen)
+	if n := len(out) - len(dst); n != int(totalLen) {
+		return nil, fmt.Errorf("storage: overflow chain yielded %d bytes, want %d", n, totalLen)
 	}
 	return out, nil
 }
@@ -309,12 +312,14 @@ func (h *HeapFile) Stats() (HeapStats, error) {
 		}
 		pg := pp.Page()
 		st.Pages++
+		h.mu.Lock() // against an Insert into this page
 		for slot := 0; slot < pg.NumSlots(); slot++ {
 			if _, _, _, _, ok := pg.Record(slot); ok {
 				st.Records++
 			}
 		}
 		next := pg.Next()
+		h.mu.Unlock()
 		pp.Unpin(false)
 		id = next
 	}
@@ -331,31 +336,47 @@ func (h *HeapFile) Scan() *Scanner {
 // most one pin: it fetches a page once and reads every slot from the
 // pinned frame, and it releases the pin when it moves to the next
 // page, at the end of the file, on an error and at Close.
+//
+// A scanner reads a page's slot array and chain link once, under the
+// heap file's mutex, so a concurrent Insert into the same page is
+// ordered before or after the scan of it, never in the middle. The
+// record bytes behind those slots it then reads without the mutex:
+// a record is written before its slot is published and never moves
+// (there is no compaction; Delete only tombstones the slot).
+//
+// Next allocates nothing. It leaves a view of the current record,
+// which points into the pinned frame (or, for a record stored in
+// overflow pages, into a buffer the scanner reuses) and is valid until
+// the next Next or Close. The view is never handed out: AppendRecord
+// and Record copy it, so no caller can write into a buffer-pool page.
 type Scanner struct {
-	hf   *HeapFile
-	page PageID
-	pp   *PinnedPage // the pin on page; nil between pages
-	slot int
-	err  error
+	hf    *HeapFile
+	page  PageID
+	pp    PinnedPage // the pin on page; pp.frame is nil between pages
+	slots []byte     // page's slot array, copied under hf.mu
+	next  PageID     // page's chain link, copied with slots
+	slot  int
+	err   error
 
-	rid RID
-	rec []byte
+	rid   RID
+	rec   []byte // view of the current record
+	large []byte // the last overflow record, reassembled
 }
 
 // Next advances to the next live record. It returns false at the end
 // of the file or on error (check Err).
 func (s *Scanner) Next() bool {
 	for s.page != InvalidPageID {
-		if s.pp == nil {
-			pp, err := s.hf.pool.Fetch(s.page)
-			if err != nil {
+		if s.pp.frame == nil {
+			if err := s.pin(); err != nil {
 				return s.fail(err)
 			}
-			s.pp = pp
 		}
 		pg := s.pp.Page()
-		for s.slot < pg.NumSlots() {
-			rec, isLarge, first, totalLen, ok := pg.Record(s.slot)
+		for s.slot*slotSize < len(s.slots) {
+			e := s.slots[s.slot*slotSize:]
+			rec, isLarge, first, totalLen, ok := pg.recordAt(
+				int(binary.LittleEndian.Uint16(e)), int(binary.LittleEndian.Uint16(e[2:])))
 			s.slot++
 			if !ok {
 				continue
@@ -365,24 +386,44 @@ func (s *Scanner) Next() bool {
 				// The overflow chain needs frames of its own; the next
 				// record fetches this page again.
 				s.unpin()
-				out, err := s.hf.readOverflow(first, totalLen)
+				out, err := s.hf.readOverflow(s.large[:0], first, totalLen)
 				if err != nil {
 					return s.fail(err)
 				}
+				s.large = out
 				s.rec = out
 				return true
 			}
-			out := make([]byte, len(rec))
-			copy(out, rec)
-			s.rec = out
+			s.rec = rec
 			return true
 		}
-		next := pg.Next()
+		next := s.next
 		s.unpin()
 		s.page = next
 		s.slot = 0
 	}
 	return false
+}
+
+// pin fetches the scanner's page and snapshots its slot array and
+// chain link under the heap file's mutex.
+func (s *Scanner) pin() error {
+	if err := s.hf.pool.fetchInto(&s.pp, s.page); err != nil {
+		return err
+	}
+	pg := s.pp.Page()
+	s.hf.mu.Lock()
+	n := pg.NumSlots()
+	end := pageHeaderSize + n*slotSize
+	if end <= PageSize {
+		s.slots = append(s.slots[:0], pg.buf[pageHeaderSize:end]...)
+		s.next = pg.Next()
+	}
+	s.hf.mu.Unlock()
+	if end > PageSize {
+		return fmt.Errorf("storage: corrupt page %d (%d slots)", s.page, n)
+	}
+	return nil
 }
 
 // Close ends the scan and releases its pin. It may be called more than
@@ -393,10 +434,10 @@ func (s *Scanner) Close() {
 }
 
 func (s *Scanner) unpin() {
-	if s.pp != nil {
+	if s.pp.frame != nil {
 		s.pp.Unpin(false)
-		s.pp = nil
 	}
+	s.rec = nil
 }
 
 func (s *Scanner) fail(err error) bool {
@@ -405,8 +446,13 @@ func (s *Scanner) fail(err error) bool {
 	return false
 }
 
-// Record returns the current record (a copy owned by the caller).
-func (s *Scanner) Record() []byte { return s.rec }
+// AppendRecord appends the current record to dst and returns the
+// extended slice. The bytes are the caller's: a scan that reuses dst
+// for every record copies each record exactly once.
+func (s *Scanner) AppendRecord(dst []byte) []byte { return append(dst, s.rec...) }
+
+// Record returns a copy of the current record that the caller owns.
+func (s *Scanner) Record() []byte { return s.AppendRecord(make([]byte, 0, len(s.rec))) }
 
 // RID returns the current record's RID.
 func (s *Scanner) RID() RID { return s.rid }

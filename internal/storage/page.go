@@ -174,6 +174,12 @@ func (p *Page) Record(i int) (rec []byte, isLarge bool, first PageID, totalLen u
 		return nil, false, InvalidPageID, 0, false
 	}
 	off, length := p.slot(i)
+	return p.recordAt(off, length)
+}
+
+// recordAt resolves a slot entry (offset, length) to its record, as
+// Record does.
+func (p *Page) recordAt(off, length int) (rec []byte, isLarge bool, first PageID, totalLen uint32, ok bool) {
 	if off == tombstoneOffset {
 		return nil, false, InvalidPageID, 0, false
 	}

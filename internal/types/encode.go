@@ -117,7 +117,18 @@ func DecodeValue(buf []byte) (Value, int, error) {
 // DecodeRow decodes a row of schema.Arity() values from buf. The
 // returned row's BYTES values alias buf; use Row.Clone to retain them.
 func DecodeRow(buf []byte, schema *Schema) (Row, error) {
-	row := make(Row, schema.Arity())
+	return DecodeRowInto(nil, buf, schema)
+}
+
+// DecodeRowInto is DecodeRow decoding into row's storage, which it
+// reuses when row has room for schema.Arity() values. A scan that
+// passes back the row it got decodes every record without allocating.
+func DecodeRowInto(row Row, buf []byte, schema *Schema) (Row, error) {
+	if n := schema.Arity(); cap(row) >= n {
+		row = row[:n]
+	} else {
+		row = make(Row, n)
+	}
 	off := 0
 	for i := range row {
 		v, n, err := DecodeValue(buf[off:])

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -243,6 +244,39 @@ func TestDecodeRowTrailingBytes(t *testing.T) {
 	buf, _ := EncodeRow(nil, schema, Row{NewInt(1)})
 	buf = append(buf, 0x00)
 	if _, err := DecodeRow(buf, schema); err == nil {
+		t.Error("trailing bytes should fail")
+	}
+}
+
+// DecodeRowInto decodes into the row it is given when that row has
+// room, and allocates nothing for a row without strings.
+func TestDecodeRowIntoReusesRow(t *testing.T) {
+	schema := NewSchema(Column{Name: "a", Kind: KindInt}, Column{Name: "b", Kind: KindBytes})
+	recs := [][]byte{}
+	for i := range 3 {
+		buf, err := EncodeRow(nil, schema, Row{NewInt(int64(i)), NewBytes(bytes.Repeat([]byte{byte(i)}, i+1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, buf)
+	}
+	row := make(Row, 0, 2)
+	storage := &row[:1][0]
+	for i, rec := range recs {
+		got, err := DecodeRowInto(row, rec, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := DecodeRow(rec, schema)
+		if &got[0] != storage || got.String() != want.String() {
+			t.Fatalf("record %d: got %s (reused %v), want %s", i, got, &got[0] == storage, want)
+		}
+		row = got
+	}
+	if n := testing.AllocsPerRun(100, func() { row, _ = DecodeRowInto(row, recs[2], schema) }); n != 0 {
+		t.Errorf("DecodeRowInto made %.1f allocations, want 0", n)
+	}
+	if _, err := DecodeRowInto(row, append(recs[0], 0), schema); err == nil {
 		t.Error("trailing bytes should fail")
 	}
 }

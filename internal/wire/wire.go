@@ -169,9 +169,11 @@ func EncodeResult(schema *types.Schema, rows []types.Row, affected int64, messag
 }
 
 // DecodeResult parses a query result. The rows are the caller's to
-// keep: every value is cloned out of the payload. The row count is
-// trusted only as far as the remaining bytes can hold that many rows,
-// so a short hostile payload cannot make it allocate.
+// keep: every value is cloned out of the payload. All rows share one
+// slab of values, each capped at its own length so that an append to
+// one cannot reach the next. The row count is trusted only as far as
+// the remaining bytes can hold that many rows, so a short hostile
+// payload cannot make it allocate.
 func DecodeResult(payload []byte) (schema *types.Schema, rows []types.Row, affected int64, message, plan string, err error) {
 	r := frame.Cursor{Buf: payload}
 	if r.Byte() == 1 {
@@ -179,8 +181,9 @@ func DecodeResult(payload []byte) (schema *types.Schema, rows []types.Row, affec
 		arity := schema.Arity()
 		n := r.Count(arity) // a value is at least its tag byte
 		rows = make([]types.Row, 0, n)
+		vals := make([]types.Value, n*arity)
 		for i := 0; i < n && r.Err == nil; i++ {
-			row := make(types.Row, arity)
+			row := vals[i*arity : (i+1)*arity : (i+1)*arity]
 			for j := range row {
 				row[j] = r.Value().Clone()
 			}

@@ -87,6 +87,15 @@ func TestResultRoundTrip(t *testing.T) {
 	if grows[0][0].Int != 1 || grows[0][2].Bytes[0] != 9 || !grows[1][0].IsNull() {
 		t.Errorf("rows = %v", grows)
 	}
+	// The rows share one slab, each capped at its length, so an append
+	// to the first cannot overwrite the second.
+	if cap(grows[0]) != 3 {
+		t.Errorf("row 0 has cap %d, want 3", cap(grows[0]))
+	}
+	_ = append(grows[0], types.NewInt(5))
+	if !grows[1][0].IsNull() {
+		t.Errorf("an append to row 0 reached row 1: %v", grows[1])
+	}
 }
 
 func TestResultNoSchema(t *testing.T) {
